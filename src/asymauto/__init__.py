@@ -4,7 +4,6 @@ and prefix densities, with an expression-driven CLI."""
 from .digits import INT_LIMIT, Word, concat, expand, expand_padded, value
 from .errors import CoverageError, ExprError, RangeError
 from .seqlib import (
-    KernelElement,
     Sequence,
     compress,
     duplicate,

@@ -61,16 +61,6 @@ def _two_three() -> Sequence:
     return _cached("two-three", lambda: seq_two_three(smooth.enumerate_smooth(1 << 40)))
 
 
-def _negated(f: Sequence) -> Sequence:
-    """Swap the two symbols of a binary-alphabet sequence."""
-    return Sequence(
-        f"negate:{f.name}",
-        f.alphabet,
-        lambda n: 1 - f(n),
-        lambda ns: np.uint8(1) - f.values(ns),
-    )
-
-
 def _quotient(key: str, seq_builder, base: int, depth: int, tau: float):
     return _cached(
         ("quotient", key, base, depth, tau),
@@ -247,10 +237,10 @@ def check_two_three_shift():
 
 def check_two_three_compressions():
     f = _two_three()
-    neg = _negated(f)
-    double = discrepancy_profile(compress(f, 2, 1, 0), neg, _CPS_20)
-    triple = discrepancy_profile(compress(f, 3, 1, 0), neg, _CPS_20)
-    c2, c3 = double.counts[-1], triple.counts[-1]
+    n = _CPS_20.final
+    # over two symbols, f(kn) != -f(n) exactly where f(kn) == f(n)
+    c2 = n - discrepancy_profile(compress(f, 2, 1, 0), f, _CPS_20).counts[-1]
+    c3 = n - discrepancy_profile(compress(f, 3, 1, 0), f, _CPS_20).counts[-1]
     if c2 != _DOUBLE_MISMATCH_2_20:
         return False, f"f(2n) vs -f(n) mismatch count {c2}, frozen oracle value 56897"
     if c3 != _TRIPLE_MISMATCH_2_20:
@@ -446,22 +436,7 @@ def write_verify_outputs(outdir: Path) -> list:
     emit("smooth_first200.csv", "asymauto smooth first=201", smooth.table_to_csv(table, 200))
 
     gaps = smooth.kronecker_gap(Fraction(1, 10))
-    import json as _json
-
-    emit(
-        "kronecker_0.1.json",
-        "asymauto smooth kronecker=0.1",
-        _json.dumps(
-            {
-                "tolerance": "1/10",
-                "two_side": [[p.gamma, p.delta] for p in gaps.two_side],
-                "three_side": [[p.gamma, p.delta] for p in gaps.three_side],
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n",
-    )
+    emit("kronecker_0.1.json", "asymauto smooth kronecker=0.1", smooth.kronecker_to_json(gaps))
 
     f = seq_two_three(smooth.enumerate_smooth(1 << 40))
     rows = ["n,value"] + [f"{n},{f.label(n)}" for n in range(64)]

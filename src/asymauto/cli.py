@@ -13,7 +13,7 @@ data itself.  The only environment variable honored is ASYMAUTO_THREADS.
 from __future__ import annotations
 
 import argparse
-import json
+import shlex
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,10 +213,18 @@ def _emit(text: str, dest: str | None, meta: str) -> None:
         Path(dest).write_text(payload, encoding="utf-8", newline="\n")
 
 
-def _meta(args, command: str, keys) -> str:
-    parts = [f"asymauto {command}"]
-    parts += [f"{k}={getattr(args, k.replace('-', '_'))}" for k in keys]
-    return " ".join(parts)
+def _meta(args) -> str:
+    """The command that rebuilds an output: every parsed option but the destinations.
+
+    Options parsed to None are left out; their handlers resolve them the same
+    way on a rebuild.  Options a command ignores (smooth --limit beside
+    --first) are written too, since passing them again changes nothing.
+    """
+    argv = ["asymauto", args.command]
+    for dest, value in vars(args).items():
+        if dest not in ("command", "handler", "csv", "json") and value is not None:
+            argv += ["--" + dest.replace("_", "-"), str(value)]
+    return shlex.join(argv)
 
 
 def _checkpoints(args) -> Checkpoints:
@@ -246,11 +254,11 @@ def _parse_range(text: str):
 def _cmd_eval(args) -> int:
     f = build_sequence(args.seq, args.smooth_limit)
     a, b = _parse_range(args.range)
-    labels = [f.label(n) for n in range(a, b)]
+    labels = [f.alphabet[i] for i in f.values(a, b - a).tolist()]
     print(",".join(labels))
     if args.csv is not None:
         rows = ["n,value"] + [f"{n},{lab}" for n, lab in zip(range(a, b), labels)]
-        _emit("\n".join(rows) + "\n", args.csv, _meta(args, "eval", ["seq", "range"]))
+        _emit("\n".join(rows) + "\n", args.csv, _meta(args))
     return 0
 
 
@@ -261,11 +269,7 @@ def _cmd_smooth(args) -> int:
         table = smooth.enumerate_smooth(args.limit)
     print(f"entries: {len(table)}  last: {table[len(table) - 1].value}")
     if args.csv is not None:
-        _emit(
-            smooth.table_to_csv(table),
-            args.csv,
-            _meta(args, "smooth", ["limit", "first"]),
-        )
+        _emit(smooth.table_to_csv(table), args.csv, _meta(args))
     if args.ratio_range:
         lo, hi = _parse_range(args.ratio_range)
         prof = smooth.ratio_profile(table, lo, hi)
@@ -286,23 +290,7 @@ def _cmd_smooth(args) -> int:
             f"ratio {d.numerator}/{d.denominator}"
         )
         if args.json is not None:
-            obj = {
-                "tolerance": str(gaps.tolerance),
-                "cap": gaps.cap,
-                "two_side": [
-                    {"gamma": p.gamma, "delta": p.delta, "num": p.numerator, "den": p.denominator}
-                    for p in gaps.two_side
-                ],
-                "three_side": [
-                    {"gamma": p.gamma, "delta": p.delta, "num": p.numerator, "den": p.denominator}
-                    for p in gaps.three_side
-                ],
-            }
-            _emit(
-                json.dumps(obj, sort_keys=True, indent=2) + "\n",
-                args.json,
-                _meta(args, "smooth", ["kronecker"]),
-            )
+            _emit(smooth.kronecker_to_json(gaps), args.json, _meta(args))
     return 0
 
 
@@ -311,9 +299,9 @@ def _profile_output(args, profile, v) -> None:
         print(f"N={n}: count={c} fraction={fr:.6g}")
     print(f"verdict: {v.value}")
     if args.csv is not None:
-        _emit(profile.to_csv(), args.csv, _meta(args, args.command, []))
+        _emit(profile.to_csv(), args.csv, _meta(args))
     if args.json is not None:
-        _emit(profile.to_json(), args.json, _meta(args, args.command, []))
+        _emit(profile.to_json(), args.json, _meta(args))
 
 
 def _expect_exit(args, v) -> int:
@@ -342,7 +330,7 @@ def _cmd_shift(args) -> int:
 
 def _cmd_kernel(args) -> int:
     f = build_sequence(args.seq, args.smooth_limit)
-    depth = args.depth if args.depth is not None else (4 if args.base == 2 else 3)
+    depth = args.depth if args.depth is not None else 4 if args.base == 2 else 3
     q = cluster_kernel(f, args.base, depth, _checkpoints(args), args.tau)
     violations = check_labeling_consistency(q)
     print(
@@ -352,11 +340,7 @@ def _cmd_kernel(args) -> int:
     for cid, c in enumerate(q.classes):
         print(f"  class {cid}: rep (alpha={c.rep[0]}, r={c.rep[1]}), members {len(c.members)}")
     if args.json is not None:
-        _emit(
-            quotient_to_json(q, violations),
-            args.json,
-            _meta(args, "kernel", ["seq", "base"]),
-        )
+        _emit(quotient_to_json(q, violations), args.json, _meta(args))
     return 0
 
 
@@ -366,7 +350,8 @@ def _cmd_periodic_fit(args) -> int:
     if args.q is not None:
         fits = [periodic_fit(f, args.q, args.n, cps, _policy(args))]
     else:
-        fits = periodic_fit_sweep(f, args.qmax, args.n, cps, _policy(args))
+        qmax = args.qmax if args.qmax is not None else DEFAULT_MAX_PERIOD
+        fits = periodic_fit_sweep(f, qmax, args.n, cps, _policy(args))
     for p in fits:
         print(
             f"q={p.period}: fit fraction={p.fit_fraction:.6g} "
@@ -375,7 +360,7 @@ def _cmd_periodic_fit(args) -> int:
     best = min(fits, key=lambda p: p.fit_fraction)
     print(f"best: q={best.period} fraction={best.fit_fraction:.6g}")
     if args.csv is not None:
-        _emit(fits_to_csv(fits), args.csv, _meta(args, "periodic-fit", ["seq", "n"]))
+        _emit(fits_to_csv(fits), args.csv, _meta(args))
     return 0
 
 
@@ -385,7 +370,7 @@ def _cmd_union_density(args) -> int:
     print(f"analytic floor: {float(res.bound):.6f} (p = {res.success_p})")
     print(f"exact fraction >= floor: {res.meets_bound}")
     if args.json is not None:
-        _emit(res.to_json(), args.json, _meta(args, "union-density", ["k", "m", "gamma", "nu"]))
+        _emit(res.to_json(), args.json, _meta(args))
     return 0
 
 
@@ -405,7 +390,7 @@ def _cmd_report(args) -> int:
     )
     print(report.to_text(), end="")
     if args.json is not None:
-        _emit(report.to_json(), args.json, _meta(args, "report", ["seq", "k", "l"]))
+        _emit(report.to_json(), args.json, _meta(args))
     return 0
 
 
@@ -504,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--q", type=int, default=None, help="single period to fit")
-    group.add_argument("--qmax", type=int, default=DEFAULT_MAX_PERIOD, help="sweep periods 1..Q")
+    group.add_argument("--qmax", type=int, default=None,
+                       help=f"sweep periods 1..Q (defaults to {DEFAULT_MAX_PERIOD})")
     p.add_argument("--n", type=int, default=DEFAULT_NMAX, help="fitting prefix length")
     p.add_argument("--cp-first", type=int, default=DEFAULT_CP_FIRST)
     p.add_argument("--tau", type=float, default=DEFAULT_TAU)

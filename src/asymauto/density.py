@@ -105,7 +105,7 @@ def sequence_values(f: Sequence, n: int, chunk: int = _SCAN_CHUNK) -> np.ndarray
     out = np.empty(n, dtype=np.uint8)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        out[lo:hi] = f.values(np.arange(lo, hi, dtype=np.uint64))
+        out[lo:hi] = f.values(lo, hi - lo)
     return out
 
 
@@ -139,16 +139,28 @@ class DiscrepancyProfile:
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _label_map(f: Sequence, g: Sequence):
+    """Table taking f's symbol indices to g's index of the same label, or None."""
+    if f.alphabet == g.alphabet:
+        return None
+    if sorted(f.alphabet) != sorted(g.alphabet):
+        raise ValueError(f"alphabet mismatch: {f.alphabet} vs {g.alphabet}")
+    return np.array([g.alphabet.index(lab) for lab in f.alphabet], dtype=np.uint8)
+
+
 def discrepancy_profile(f: Sequence, g: Sequence, cps: Checkpoints) -> DiscrepancyProfile:
-    """Exact |{n < N_j : f(n) != g(n)}| for each checkpoint, by full scan."""
-    if len(f.alphabet) != len(g.alphabet):
-        raise ValueError(
-            f"alphabet size mismatch: {len(f.alphabet)} vs {len(g.alphabet)}"
-        )
+    """Exact |{n < N_j : f(n) != g(n)}| for each checkpoint, by full scan.
+
+    Symbols are compared by label: alphabets holding the same labels in a
+    different order are remapped, any other pair is rejected.
+    """
+    remap = _label_map(f, g)
 
     def count_chunk(lo, hi):
-        ns = np.arange(lo, hi, dtype=np.uint64)
-        return int(np.count_nonzero(f.values(ns) != g.values(ns)))
+        fv = f.values(lo, hi - lo)
+        if remap is not None:
+            fv = remap[fv]
+        return int(np.count_nonzero(fv != g.values(lo, hi - lo)))
 
     counts = _chunked_prefix_counts(count_chunk, cps)
     return DiscrepancyProfile(f.name, g.name, cps, counts)
@@ -212,7 +224,7 @@ def density_estimate(indicator: Sequence, cps: Checkpoints) -> DensityEstimate:
         raise ValueError("density_estimate needs a binary alphabet")
 
     def count_chunk(lo, hi):
-        return int(np.count_nonzero(indicator.values(np.arange(lo, hi, dtype=np.uint64))))
+        return int(np.count_nonzero(indicator.values(lo, hi - lo)))
 
     counts = _chunked_prefix_counts(count_chunk, cps)
     return DensityEstimate(indicator.name, cps, counts)
@@ -244,7 +256,7 @@ def density_along_subsequence(indicator: Sequence, n_list) -> SubsequenceDensity
     cps = Checkpoints(n_list)
 
     def count_chunk(lo, hi):
-        return int(np.count_nonzero(indicator.values(np.arange(lo, hi, dtype=np.uint64))))
+        return int(np.count_nonzero(indicator.values(lo, hi - lo)))
 
     counts = _chunked_prefix_counts(count_chunk, cps)
     cap = 1.0

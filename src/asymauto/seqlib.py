@@ -1,15 +1,19 @@
 """Sequences over small alphabets and the binary digit statistics behind them.
 
-A Sequence pairs a scalar evaluator with an optional vectorized one; prefix
-scans run on uint64 numpy blocks, so nothing here touches floating point (the
-integer square root is a pure-integer Newton iteration even in batch form).
+A Sequence is n -> leaf(scale * n + offset): a leaf evaluator over uint64
+index arrays plus the index arithmetic of shift and compress.  Its one
+evaluation path, `values(start, count)`, reads count consecutive terms,
+which is the leaf progression first = scale * start + offset with stride
+scale; it checks the last term once against 2**63 and the leaf's coverage
+and calls the leaf on one uint64 block.  Nothing here touches
+floating point (the integer square root is a pure-integer Newton iteration).
 Sequences are immutable after construction and safe to share between threads;
 evaluation is pure.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 
 import numpy as np
 
@@ -165,86 +169,87 @@ def duplicate(n: int) -> int:
 # the sequence abstraction
 # ---------------------------------------------------------------------------
 
+_MAX_INDEX = INT_LIMIT - 1
+
+
+def _check_alphabet_size(name: str, size: int) -> None:
+    if not 1 <= size <= 256:
+        raise ValueError(f"{name}: alphabet has {size} symbols, need between 1 and 256")
+
 
 class Sequence:
-    """A total map from nonnegative integers to indices into a label alphabet."""
+    """The map n -> leaf(scale * n + offset) into indices of a label alphabet.
 
-    __slots__ = ("name", "alphabet", "_fn", "_batch")
+    `leaf` takes a uint64 array of indices in [0, limit] to symbol indices,
+    and `limit` is capped below 2**63.  Shift and compress only compose
+    `scale` and `offset`, so every sequence evaluates through the one range
+    check in `values`.
+    """
 
-    def __init__(self, name: str, alphabet, fn, batch=None):
+    __slots__ = ("name", "alphabet", "_leaf", "limit", "scale", "offset")
+
+    def __init__(self, name: str, alphabet, leaf, limit: int):
         alphabet = tuple(alphabet)
-        if not 1 <= len(alphabet) <= 256:
-            raise ValueError("alphabet must have between 1 and 256 symbols")
+        _check_alphabet_size(name, len(alphabet))
+        if len(set(alphabet)) != len(alphabet):
+            raise ValueError(f"{name}: alphabet labels must be distinct")
         self.name = name
         self.alphabet = alphabet
-        self._fn = fn
-        self._batch = batch
+        self._leaf = leaf
+        self.limit = min(limit, _MAX_INDEX)
+        self.scale = 1
+        self.offset = 0
+
+    def _compose(self, name: str, scale: int, offset: int) -> "Sequence":
+        """The sequence n -> self(scale * n + offset), on the same leaf."""
+        g = Sequence(name, self.alphabet, self._leaf, self.limit)
+        g.scale = self.scale * scale
+        g.offset = self.scale * offset + self.offset
+        return g
+
+    def values(self, start: int, count: int) -> np.ndarray:
+        """Symbol indices at start, ..., start + count - 1, as uint8."""
+        start, count = operator.index(start), operator.index(count)
+        if start < 0 or count < 0:
+            raise ValueError(f"need start >= 0 and count >= 0; got {start}, {count}")
+        if count == 0:
+            return np.zeros(0, dtype=np.uint8)
+        first = self.scale * start + self.offset
+        top = first + self.scale * (count - 1)
+        if top > self.limit:
+            where = f"{self.name}: index {start + count - 1} reaches leaf index {top}"
+            if top >= INT_LIMIT:
+                raise RangeError(f"{where}, past the 2**63 range")
+            raise CoverageError(f"{where}, beyond coverage [0, {self.limit}]")
+        ns = np.arange(count, dtype=np.uint64)
+        if count > 1 and self.scale != 1:
+            ns *= np.uint64(self.scale)
+        if first:
+            ns += np.uint64(first)
+        return self._leaf(ns).astype(np.uint8, copy=False)
 
     def __call__(self, n: int) -> int:
-        _check_index(n)
-        return self._fn(n)
+        return int(self.values(n, 1)[0])
 
     def label(self, n: int) -> str:
         return self.alphabet[self(n)]
-
-    def values(self, ns: np.ndarray) -> np.ndarray:
-        """Symbol indices for an array of arguments, as uint8."""
-        ns = np.asarray(ns, dtype=np.uint64)
-        if ns.size == 0:
-            return np.zeros(0, dtype=np.uint8)
-        if int(ns.max()) >= INT_LIMIT:
-            raise RangeError("sequence index exceeds the 2**63 range")
-        if self._batch is not None:
-            return self._batch(ns).astype(np.uint8, copy=False)
-        fn = self._fn
-        return np.fromiter((fn(int(x)) for x in ns), dtype=np.uint8, count=ns.size)
 
     def __repr__(self) -> str:
         return f"Sequence({self.name!r}, |alphabet|={len(self.alphabet)})"
 
 
-class KernelElement(Sequence):
-    """The kernel member n -> parent(base**depth * n + residue)."""
-
-    __slots__ = ("base", "depth", "residue", "parent")
-
-    def __init__(self, parent: Sequence, base: int, depth: int, residue: int):
-        if base < 2:
-            raise ValueError(f"base must be >= 2, got {base}")
-        if depth < 0:
-            raise ValueError(f"depth must be nonnegative, got {depth}")
-        factor = base**depth
-        if factor >= INT_LIMIT:
-            raise RangeError(f"{base}**{depth} exceeds the 2**63 index range")
-        if not 0 <= residue < factor:
-            raise ValueError(f"residue {residue} not in [0, {base}**{depth})")
-        limit = (INT_LIMIT - 1 - residue) // factor
-
-        def fn(n, _f=factor, _r=residue, _p=parent, _lim=limit):
-            if n > _lim:
-                raise RangeError(f"index {n} overflows {_f}*n+{_r} past 2**63")
-            return _p(_f * n + _r)
-
-        def batch(ns, _f=factor, _r=residue, _p=parent, _lim=limit):
-            if int(ns.max()) > _lim:
-                raise RangeError(f"index overflows {_f}*n+{_r} past 2**63")
-            return _p.values(ns * np.uint64(_f) + np.uint64(_r))
-
-        super().__init__(
-            f"compress:{base}:{depth}:{residue}:{parent.name}",
-            parent.alphabet,
-            fn,
-            batch,
-        )
-        self.base = base
-        self.depth = depth
-        self.residue = residue
-        self.parent = parent
-
-
-def compress(f: Sequence, k: int, alpha: int, r: int) -> KernelElement:
+def compress(f: Sequence, k: int, alpha: int, r: int) -> Sequence:
     """Kernel element n -> f(k**alpha * n + r)."""
-    return KernelElement(f, k, alpha, r)
+    if k < 2:
+        raise ValueError(f"base must be >= 2, got {k}")
+    if alpha < 0:
+        raise ValueError(f"depth must be nonnegative, got {alpha}")
+    factor = k**alpha
+    if factor >= INT_LIMIT:
+        raise RangeError(f"{k}**{alpha} exceeds the 2**63 index range")
+    if not 0 <= r < factor:
+        raise ValueError(f"residue {r} not in [0, {k}**{alpha})")
+    return f._compose(f"compress:{k}:{alpha}:{r}:{f.name}", factor, r)
 
 
 def shift(f: Sequence, m: int) -> Sequence:
@@ -253,19 +258,7 @@ def shift(f: Sequence, m: int) -> Sequence:
         raise ValueError(f"shift must be nonnegative, got {m}")
     if m == 0:
         return f
-    limit = INT_LIMIT - 1 - m
-
-    def fn(n):
-        if n > limit:
-            raise RangeError(f"index {n}+{m} overflows past 2**63")
-        return f(n + m)
-
-    def batch(ns):
-        if int(ns.max()) > limit:
-            raise RangeError(f"index+{m} overflows past 2**63")
-        return f.values(ns + np.uint64(m))
-
-    return Sequence(f"shift:{m}:{f.name}", f.alphabet, fn, batch)
+    return f._compose(f"shift:{m}:{f.name}", 1, m)
 
 
 def periodic(values) -> Sequence:
@@ -275,16 +268,16 @@ def periodic(values) -> Sequence:
         raise ValueError("periodic sequence needs at least one value")
     if min(values) < 0:
         raise ValueError("symbol indices must be nonnegative")
+    name = "periodic:" + ",".join(str(v) for v in values)
     size = max(values) + 1
-    alphabet = tuple(str(i) for i in range(size))
+    _check_alphabet_size(name, size)
     table = np.array(values, dtype=np.uint8)
-    q = len(values)
-
+    q = np.uint64(len(values))
     return Sequence(
-        "periodic:" + ",".join(str(v) for v in values),
-        alphabet,
-        lambda n: values[n % q],
-        lambda ns: table[(ns % np.uint64(q)).astype(np.int64)],
+        name,
+        (str(i) for i in range(size)),
+        lambda ns: table[(ns % q).astype(np.int64)],
+        _MAX_INDEX,
     )
 
 
@@ -297,21 +290,10 @@ def sequence_from_file(path) -> Sequence:
     index = {}
     for lab in labels:
         index.setdefault(lab, len(index))
-    alphabet = tuple(index)
+    name = f"file:{path}"
+    _check_alphabet_size(name, len(index))
     table = np.fromiter((index[lab] for lab in labels), dtype=np.uint8, count=len(labels))
-    count = len(labels)
-
-    def fn(n):
-        if n >= count:
-            raise CoverageError(f"index {n} beyond file coverage [0, {count})")
-        return int(table[n])
-
-    def batch(ns):
-        if int(ns.max()) >= count:
-            raise CoverageError(f"index beyond file coverage [0, {count})")
-        return table[ns.astype(np.int64)]
-
-    return Sequence(f"file:{path}", alphabet, fn, batch)
+    return Sequence(name, index, lambda ns: table[ns.astype(np.int64)], len(labels) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +321,8 @@ def seq_leading_prime() -> Sequence:
     return Sequence(
         "leading-prime",
         ("0", "1"),
-        lambda n: int(_PRIME_FLAGS[leading_ones(n)]),
         lambda ns: _PRIME_FLAGS[_leading_ones_u64(ns).astype(np.int64)],
+        _MAX_INDEX,
     )
 
 
@@ -349,8 +331,8 @@ def seq_run_parity() -> Sequence:
     return Sequence(
         "run-parity",
         ("0", "1"),
-        lambda n: max_run(n) & 1,
         lambda ns: (_max_run_u64(ns) & _U1).astype(np.uint8),
+        _MAX_INDEX,
     )
 
 
@@ -359,8 +341,8 @@ def seq_sqrt_parity() -> Sequence:
     return Sequence(
         "sqrt-parity",
         ("0", "1"),
-        lambda n: math.isqrt(n) & 1,
         lambda ns: (_isqrt_u64(ns) & _U1).astype(np.uint8),
+        _MAX_INDEX,
     )
 
 
@@ -376,26 +358,9 @@ def seq_two_three(table: SmoothTable) -> Sequence:
         raise RangeError("table coverage exceeds the 2**63 index range")
     values = np.array([e.value for e in table.entries], dtype=np.uint64)
     parities = np.array([e.parity for e in table.entries], dtype=np.uint8)
-    limit = table.limit
-    py_values = [e.value for e in table.entries]
-    py_parities = [e.parity for e in table.entries]
 
-    def fn(n):
-        if n > limit:
-            raise CoverageError(f"index {n} beyond table coverage [0, {limit}]")
-        lo, hi = 0, len(py_values)
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if py_values[mid] <= n:
-                lo = mid
-            else:
-                hi = mid
-        return py_parities[lo]
-
-    def batch(ns):
-        if int(ns.max()) > limit:
-            raise CoverageError(f"index beyond table coverage [0, {limit}]")
+    def leaf(ns):
         idx = np.searchsorted(values, ns, side="right").astype(np.int64) - 1
         return parities[np.maximum(idx, 0)]
 
-    return Sequence(f"two-three[limit={limit}]", ("+1", "-1"), fn, batch)
+    return Sequence(f"two-three[limit={table.limit}]", ("+1", "-1"), leaf, table.limit)

@@ -10,6 +10,8 @@ only.
 
 from __future__ import annotations
 
+import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,14 +87,7 @@ class SmoothTable:
         """Index i of the interval [H_i, H_{i+1}) containing n, for 1 <= n <= limit."""
         if n < 1 or n > self.limit:
             raise RangeError(f"n = {n} outside table coverage [1, {self.limit}]")
-        lo, hi = 0, len(self.entries)
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if self.entries[mid].value <= n:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return bisect_right(self.entries, n, key=lambda e: e.value) - 1
 
 
 def enumerate_smooth(limit: int) -> SmoothTable:
@@ -203,6 +198,24 @@ def kronecker_gap(t, cap: int = 64) -> KroneckerGaps:
     two_side.sort(key=lambda p: (p.gamma, p.delta))
     three_side.sort(key=lambda p: (p.delta, p.gamma))
     return KroneckerGaps(t, cap, tuple(two_side), tuple(three_side))
+
+
+def kronecker_to_json(gaps: KroneckerGaps) -> str:
+    """Both sides' pairs as {gamma, delta, num, den} objects, sorted keys."""
+
+    def pairs(side):
+        return [
+            {"gamma": p.gamma, "delta": p.delta, "num": p.numerator, "den": p.denominator}
+            for p in side
+        ]
+
+    obj = {
+        "tolerance": str(gaps.tolerance),
+        "cap": gaps.cap,
+        "two_side": pairs(gaps.two_side),
+        "three_side": pairs(gaps.three_side),
+    }
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def table_to_csv(table: SmoothTable, max_rows: int | None = None) -> str:

@@ -1,9 +1,12 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately naive: string scans, double loops over
-exponents, set-based marking.  None of it shares code with the package.
+exponents, set-based marking, one Python integer at a time.  None of it
+shares code with the package.
 """
 
+import math
+from bisect import bisect_right
 from fractions import Fraction
 
 
@@ -30,6 +33,34 @@ def smooth_by_double_loop(limit: int) -> list:
         a += 1
     out.sort()
     return out
+
+
+def is_prime_by_trial(m: int) -> bool:
+    return m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+
+def leading_prime_naive(n: int) -> int:
+    return int(is_prime_by_trial(leading_ones_by_string(n)))
+
+
+def run_parity_naive(n: int) -> int:
+    return max_run_by_string(n) & 1
+
+
+def sqrt_parity_naive(n: int) -> int:
+    return math.isqrt(n) & 1
+
+
+def two_three_naive(limit: int):
+    """n -> parity of a + b for the last 2**a 3**b <= n (n = 0 sits with 1)."""
+    rows = smooth_by_double_loop(limit)
+    values = [v for v, _, _ in rows]
+
+    def evaluate(n: int) -> int:
+        _, a, b = rows[max(bisect_right(values, n) - 1, 0)]
+        return (a + b) & 1
+
+    return evaluate
 
 
 def kronecker_pairs_by_fractions(t: Fraction, cap: int) -> tuple:

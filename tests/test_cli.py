@@ -1,7 +1,10 @@
 import json
+import math
+import shlex
 
 import pytest
 
+from asymauto.acceptance import write_verify_outputs
 from asymauto.cli import (
     CompressExpr,
     LeafExpr,
@@ -187,3 +190,63 @@ def test_stdout_determinism(capsys):
     first = capsys.readouterr().out
     main(["eval", "--seq", "two-three", "--range", "0:32"])
     assert capsys.readouterr().out == first
+
+
+def test_alphabet_size_is_a_usage_error(tmp_path, capsys):
+    assert main(["eval", "--seq", "periodic:300", "--range", "0:3"]) == 2
+    wide = tmp_path / "wide.txt"
+    wide.write_text("\n".join(str(i) for i in range(300)) + "\n", encoding="utf-8")
+    assert main(["eval", "--seq", f"file:{wide}", "--range", "0:3"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("between 1 and 256" in line for line in err)
+
+
+def test_discrepancy_compares_labels(tmp_path, capsys):
+    # the file's first line is "1", so its alphabet is ("1", "0")
+    labels = [str(math.isqrt(n) & 1) for n in range(4096)]
+    labels[0] = "1"
+    path = tmp_path / "flipped.txt"
+    path.write_text("\n".join(labels) + "\n", encoding="utf-8")
+    out = tmp_path / "prof.json"
+    rc = main(["discrepancy", "--f", f"file:{path}", "--g", "sqrt-parity",
+               "--nmax", "4096", "--json", str(out)])
+    assert rc == 0
+    obj = json.loads(out.read_text(encoding="utf-8").split("\n", 1)[1])
+    assert obj["checkpoints"] == [1024, 2048, 4096]
+    assert obj["counts"] == [1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["discrepancy", "--f", "run-parity", "--g", "shift:2:run-parity",
+          "--nmax", "8192", "--tau", "0.25"], "--csv"),
+        # --q and --qmax are mutually exclusive; the header must name only one
+        (["periodic-fit", "--seq", "run-parity", "--q", "3", "--n", "4096"], "--csv"),
+        # --depth left unset resolves to the same depth on the rebuild
+        (["kernel", "--seq", "leading-prime", "--base", "2", "--nmax", "4096"], "--json"),
+        (["smooth", "--first", "20"], "--csv"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_header_rebuilds_the_file(tmp_path, argv, out):
+    first = tmp_path / "first.out"
+    second = tmp_path / "second.out"
+    assert main(argv + [out, str(first)]) == 0
+    header = first.read_text(encoding="utf-8").split("\n", 1)[0]
+    rebuilt = shlex.split(header.removeprefix("# "))
+    assert rebuilt[:2] == ["asymauto", argv[0]]
+    assert set(argv[1::2]) <= set(rebuilt) and str(first) not in rebuilt
+    assert main(rebuilt[1:] + [out, str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_verify_kronecker_matches_smooth_command(tmp_path):
+    write_verify_outputs(tmp_path / "v")
+    assert main(["smooth", "--limit", "12", "--kronecker", "0.1",
+                 "--json", str(tmp_path / "k.json")]) == 0
+
+    def data(path):
+        return path.read_text(encoding="utf-8").split("\n", 1)[1]
+
+    assert data(tmp_path / "v" / "kronecker_0.1.json") == data(tmp_path / "k.json")

@@ -5,6 +5,7 @@ import pytest
 
 import asymauto.density as density_mod
 from asymauto import (
+    INT_LIMIT,
     Checkpoints,
     RangeError,
     Sequence,
@@ -27,8 +28,13 @@ from asymauto.seqlib import _max_run_u64
 from helpers import tribonacci_no_triple_ones, union_by_marking_sets
 
 
+def scalar_leaf(fn):
+    """A leaf that applies the Python scalar map fn to each index."""
+    return lambda ns: np.fromiter((fn(n) for n in ns.tolist()), dtype=np.uint8, count=len(ns))
+
+
 def binary_sequence(name, fn):
-    return Sequence(name, ("0", "1"), fn)
+    return Sequence(name, ("0", "1"), scalar_leaf(fn), INT_LIMIT - 1)
 
 
 def test_checkpoints_validation():
@@ -67,9 +73,23 @@ def test_two_three_shift_profile():
 
 def test_alphabet_mismatch_rejected():
     f = seq_run_parity()
-    g = Sequence("three", ("a", "b", "c"), lambda n: n % 3)
+    g = Sequence("three", ("a", "b", "c"), scalar_leaf(lambda n: n % 3), INT_LIMIT - 1)
     with pytest.raises(ValueError):
         discrepancy_profile(f, g, Checkpoints.geometric(4, 64))
+    relabeled = Sequence("ab", ("a", "b"), scalar_leaf(lambda n: n & 1), INT_LIMIT - 1)
+    with pytest.raises(ValueError):
+        discrepancy_profile(f, relabeled, Checkpoints.geometric(4, 64))
+
+
+def test_same_labels_in_another_order_compare_by_label():
+    cps = Checkpoints.geometric(4, 64)
+    odd = binary_sequence("odd", lambda n: n & 1)
+    # index 0 is label "1" here, so equal labels sit on different indices
+    swapped = Sequence("odd-swapped", ("1", "0"), scalar_leaf(lambda n: 1 - (n & 1)), INT_LIMIT - 1)
+    assert discrepancy_profile(odd, swapped, cps).counts == (0,) * len(cps)
+    assert discrepancy_profile(swapped, odd, cps).counts == (0,) * len(cps)
+    flipped = Sequence("odd-flipped", ("1", "0"), scalar_leaf(lambda n: n & 1), INT_LIMIT - 1)
+    assert discrepancy_profile(odd, flipped, cps).counts == tuple(cps)
 
 
 def test_counts_chunking_invariance(monkeypatch):
@@ -118,7 +138,7 @@ def test_density_estimate_even_numbers():
     est0 = density_estimate(zeros, cps)
     assert (est0.low, est0.high) == (0.0, 0.0)
     with pytest.raises(ValueError):
-        density_estimate(Sequence("t", ("a", "b", "c"), lambda n: 0), cps)
+        density_estimate(Sequence("t", ("a", "b", "c"), scalar_leaf(lambda n: 0), INT_LIMIT - 1), cps)
 
 
 def test_density_estimate_short_runs_indicator():
@@ -129,9 +149,10 @@ def test_density_estimate_short_runs_indicator():
     indicator = Sequence(
         "short-runs",
         ("0", "1"),
-        lambda n: int(max_run(n) < 3),
         lambda ns: (_max_run_u64(ns) < np.uint64(3)).astype(np.uint8),
+        INT_LIMIT - 1,
     )
+    assert indicator.values(0, 1 << 12).tolist() == [int(max_run(n) < 3) for n in range(1 << 12)]
     cps = Checkpoints(tuple(1 << e for e in range(10, 25, 2)))
     est = density_estimate(indicator, cps)
     for n_exp, count in zip(range(10, 25, 2), est.counts):

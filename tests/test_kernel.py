@@ -31,8 +31,10 @@ def test_enumerate_kernel_counts():
     assert len(enumerate_kernel(f, 2, 2)) == 7
     assert len(enumerate_kernel(f, 3, 3)) == 40
     el = enumerate_kernel(f, 2, 2)[4]
-    assert (el.depth, el.residue) == (2, 1)
+    assert el.name == "compress:2:2:1:run-parity"
+    assert (el.scale, el.offset) == (4, 1)
     assert el(5) == f(4 * 5 + 1)
+    assert el.values(0, 1 << 10).tolist() == f.values(0, 4 << 10)[1::4].tolist()
 
 
 def test_leading_prime_single_class_small():

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from asymauto import (
+    INT_LIMIT,
     CoverageError,
     RangeError,
     compress,
@@ -24,7 +25,14 @@ from asymauto import (
 )
 from asymauto.seqlib import _isqrt_u64, _leading_ones_u64, _max_run_u64
 
-from helpers import leading_ones_by_string, max_run_by_string
+from helpers import (
+    leading_ones_by_string,
+    leading_prime_naive,
+    max_run_by_string,
+    run_parity_naive,
+    sqrt_parity_naive,
+    two_three_naive,
+)
 
 
 def test_leading_ones_examples():
@@ -91,9 +99,9 @@ def test_leading_prime_sequence():
 def test_leading_prime_exceptional_set():
     f = seq_leading_prime()
     n = 1 << 16
-    vals = f.values(np.arange(n, dtype=np.uint64))
-    doubled = f.values(np.arange(0, 2 * n, 2, dtype=np.uint64))
-    odd = f.values(np.arange(1, 2 * n + 1, 2, dtype=np.uint64))
+    vals = f.values(0, n)
+    doubled = compress(f, 2, 1, 0).values(0, n)
+    odd = compress(f, 2, 1, 1).values(0, n)
     bad = int(np.count_nonzero((vals != doubled) | (vals != odd)))
     assert bad <= 2 * (math.log2(n) + 1)
 
@@ -108,7 +116,7 @@ def test_run_parity_sequence():
 def test_run_parity_not_near_constant():
     f = seq_run_parity()
     n = 1 << 18
-    ones = int(np.count_nonzero(f.values(np.arange(n, dtype=np.uint64))))
+    ones = int(np.count_nonzero(f.values(0, n)))
     assert ones >= n // 6
     assert n - ones >= n // 6
 
@@ -142,8 +150,9 @@ def test_two_three_values_and_coverage():
     f(table.limit)  # inside coverage
     with pytest.raises(CoverageError):
         f(table.limit + 1)
+    q, r = divmod(table.limit - 3, 4)
     with pytest.raises(CoverageError):
-        f.values(np.array([table.limit + 1], dtype=np.uint64))
+        compress(f, 2, 2, r).values(q, 2)  # f(limit - 3), f(limit + 1)
 
 
 def test_shift_behavior():
@@ -186,7 +195,8 @@ def test_sequence_from_file(tmp_path):
     f = sequence_from_file(path)
     assert f.alphabet == ("+1", "-1")
     assert [f(n) for n in range(4)] == [0, 1, 1, 0]
-    assert f.values(np.arange(4)).tolist() == [0, 1, 1, 0]
+    assert f.values(0, 4).tolist() == [0, 1, 1, 0]
+    assert compress(f, 2, 1, 1).values(0, 2).tolist() == [1, 0]
     with pytest.raises(CoverageError):
         f(4)
     with pytest.raises(ValueError):
@@ -196,20 +206,170 @@ def test_sequence_from_file(tmp_path):
 
 def test_batch_matches_scalar_on_builtins():
     table = enumerate_smooth(1 << 22)
+    two_three = two_three_naive(1 << 22)
     rng = np.random.default_rng(5)
-    ns = np.unique(rng.integers(0, 1 << 18, size=2048))
-    for f in (
-        seq_leading_prime(),
-        seq_run_parity(),
-        seq_sqrt_parity(),
-        seq_two_three(table),
-        periodic([0, 1, 1, 0]),
-        shift(seq_run_parity(), 3),
-        compress(seq_leading_prime(), 2, 2, 1),
+    for f, naive in (
+        (seq_leading_prime(), leading_prime_naive),
+        (seq_run_parity(), run_parity_naive),
+        (seq_sqrt_parity(), sqrt_parity_naive),
+        (seq_two_three(table), two_three),
+        (periodic([0, 1, 1, 0]), lambda n: (0, 1, 1, 0)[n % 4]),
+        (shift(seq_run_parity(), 3), lambda n: run_parity_naive(n + 3)),
+        (compress(seq_leading_prime(), 2, 2, 1), lambda n: leading_prime_naive(4 * n + 1)),
     ):
-        batch = f.values(ns)
-        for n, v in zip(ns.tolist(), batch.tolist()):
-            assert f(n) == v, (f.name, n)
+        for start, r in zip(rng.integers(0, 1 << 18, 8).tolist(), rng.integers(0, 64, 8).tolist()):
+            assert f.values(start, 256).tolist() == [naive(start + i) for i in range(256)], (
+                f.name, start
+            )
+            got = compress(f, 2, 6, r).values(start >> 6, 64).tolist()
+            assert got == [naive(64 * ((start >> 6) + i) + r) for i in range(64)], (f.name, start, r)
+            assert f(start) == naive(start)
+
+
+# ---------------------------------------------------------------------------
+# values(start, count) against the naive scalar oracles, for builtins
+# nested in random shift/compress layers
+# ---------------------------------------------------------------------------
+
+FILE_LABELS = ["b", "a", "a", "c", "b", "c", "c", "a", "b", "b", "a"] * 7  # 77 lines
+SMALL_SMOOTH = 10**6
+
+
+@pytest.fixture(scope="module")
+def label_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("seq") / "labels.txt"
+    path.write_text("\n".join(FILE_LABELS) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def leaves(label_file):
+    """name -> (sequence, naive scalar oracle, last covered index)."""
+    full = INT_LIMIT - 1
+    file_seq = sequence_from_file(label_file)
+    return {
+        "leading-prime": (seq_leading_prime(), leading_prime_naive, full),
+        "run-parity": (seq_run_parity(), run_parity_naive, full),
+        "sqrt-parity": (seq_sqrt_parity(), sqrt_parity_naive, full),
+        "two-three": (seq_two_three(enumerate_smooth(full)), two_three_naive(full), full),
+        "two-three-small": (
+            seq_two_three(enumerate_smooth(SMALL_SMOOTH)), two_three_naive(SMALL_SMOOTH), SMALL_SMOOTH
+        ),
+        "periodic": (periodic([2, 0, 1, 1, 0]), lambda n: (2, 0, 1, 1, 0)[n % 5], full),
+        "file": (
+            file_seq, lambda n: file_seq.alphabet.index(FILE_LABELS[n]), len(FILE_LABELS) - 1
+        ),
+    }
+
+
+LAYER = st.one_of(
+    st.tuples(st.just("shift"), st.integers(0, 1 << 20)),
+    st.tuples(st.just("compress"), st.integers(2, 5), st.integers(0, 6), st.integers(0, 10**6)),
+)
+
+
+def nest(f, layers):
+    """f wrapped in the layers, and n -> its leaf index as nested plain closures."""
+    index = lambda n: n  # noqa: E731
+    for layer in layers:
+        if layer[0] == "shift":
+            m = layer[1]
+            f, index = shift(f, m), (lambda i, m: lambda n: i(n + m))(index, m)
+        else:
+            _, k, alpha, r = layer
+            r %= k**alpha
+            f = compress(f, k, alpha, r)
+            index = (lambda i, q, r: lambda n: i(q * n + r))(index, k**alpha, r)
+    return f, index
+
+
+def last_valid(index, cover: int):
+    """Largest n whose leaf index stays within [0, cover], or -1; index is affine."""
+    base = index(0)
+    return -1 if base > cover else (cover - base) // (index(1) - base)
+
+
+@given(
+    st.data(),
+    st.sampled_from(["leading-prime", "run-parity", "sqrt-parity", "two-three",
+                     "two-three-small", "periodic", "file"]),
+    st.lists(LAYER, max_size=3),
+)
+def test_values_match_naive_on_random_progressions(leaves, data, name, layers):
+    # the compress layers set the stride of the leaf progression
+    f, naive, cover = leaves[name]
+    f, index = nest(f, layers)
+    top = last_valid(index, cover)
+    assume(top >= 0)
+    start = data.draw(st.integers(0, top), label="start")
+    count = data.draw(st.integers(0, min(48, top - start + 1)), label="count")
+    got = f.values(start, count).tolist()
+    assert got == [naive(index(start + i)) for i in range(count)]
+
+
+@given(
+    st.sampled_from(["leading-prime", "run-parity", "sqrt-parity", "two-three", "periodic"]),
+    st.lists(LAYER, max_size=3),
+    st.integers(1, 40),
+)
+def test_values_at_the_2_63_boundary(leaves, name, layers, count):
+    # the progression ends on the last n whose leaf index k**a * n + r + m is
+    # below 2**63; one more term overflows and is a RangeError, not coverage
+    f, naive, _ = leaves[name]
+    f, index = nest(f, layers)
+    top = last_valid(index, INT_LIMIT - 1)
+    assume(top >= 0)
+    count = min(count, top + 1)
+    start = top - (count - 1)
+    want = [naive(index(start + i)) for i in range(count)]
+    assert f.values(start, count).tolist() == want
+    with pytest.raises(RangeError) as exc:
+        f.values(start, count + 1)
+    assert not isinstance(exc.value, CoverageError)
+    with pytest.raises(RangeError):
+        f(top + 1)
+
+
+@given(
+    st.sampled_from(["two-three-small", "file"]),
+    st.lists(LAYER, max_size=2),
+    st.integers(1, 20),
+)
+def test_values_at_the_coverage_edge(leaves, name, layers, count):
+    f, naive, cover = leaves[name]
+    f, index = nest(f, layers)
+    top = last_valid(index, cover)
+    assume(top >= 0)
+    count = min(count, top + 1)
+    start = top - (count - 1)
+    want = [naive(index(start + i)) for i in range(count)]
+    assert f.values(start, count).tolist() == want
+    with pytest.raises(CoverageError):
+        f.values(start, count + 1)
+    with pytest.raises(CoverageError):
+        f(top + 1)
+
+
+def test_values_argument_checks():
+    f = seq_sqrt_parity()
+    assert f.values(INT_LIMIT + 5, 0).tolist() == []
+    for args in ((-1, 1), (0, -1)):
+        with pytest.raises(ValueError):
+            f.values(*args)
+    # the scale of nested compressions may pass 2**63 while n = 0 still maps inside
+    deep = compress(compress(f, 2, 40, 0), 2, 40, 0)
+    assert deep(0) == 0
+    with pytest.raises(RangeError):
+        deep(1)
+
+
+def test_alphabet_size_checked_before_tables(tmp_path):
+    with pytest.raises(ValueError, match="between 1 and 256"):
+        periodic([300])
+    path = tmp_path / "wide.txt"
+    path.write_text("\n".join(str(i) for i in range(257)) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="between 1 and 256"):
+        sequence_from_file(path)
 
 
 @given(st.integers(1, 6), st.integers(1, 10))
