@@ -20,6 +20,7 @@ from .density import (
     Verdict,
     VerdictPolicy,
     discrepancy_profile,
+    prefix_counts,
     sequence_values,
     verdict,
 )
@@ -77,10 +78,14 @@ class PeriodicFit:
 def _majority_fit(table: np.ndarray, q: int, n_sym: int):
     """Per-residue majority symbols and margins over the whole table."""
     n = len(table)
-    residues = (np.arange(n, dtype=np.int64) % q).astype(np.int64)
+    rows = n // q
+    # key residue * n_sym + symbol, counted over the (rows, q) prefix and the tail
+    keys = np.arange(q, dtype=np.intp) * n_sym
     counts = np.bincount(
-        residues * n_sym + table.astype(np.int64), minlength=q * n_sym
-    ).reshape(q, n_sym)
+        (table[: rows * q].reshape(rows, q) + keys).ravel(), minlength=q * n_sym
+    )
+    counts += np.bincount(table[rows * q :] + keys[: n - rows * q], minlength=q * n_sym)
+    counts = counts.reshape(q, n_sym)
     symbols = counts.argmax(axis=1)  # ties resolve to the smallest index
     top = counts[np.arange(q), symbols]
     masked = counts.copy()
@@ -114,9 +119,9 @@ def _fit_from_table(f, table, q, fit_n, cps, policy) -> PeriodicFit:
     n_sym = len(f.alphabet)
     symbols, margins = _majority_fit(table[:fit_n], q, n_sym)
     approx = periodic(symbols.tolist())
-    residues = (np.arange(cps.final, dtype=np.int64) % q).astype(np.int64)
-    mism = table[: cps.final] != symbols[residues]
-    counts = tuple(int(np.count_nonzero(mism[:n])) for n in cps)
+    periods = -(-cps.final // q)
+    mism = table[: cps.final] != np.tile(symbols.astype(np.uint8), periods)[: cps.final]
+    counts = prefix_counts(mism, cps)
     profile = DiscrepancyProfile(f.name, approx.name, cps, counts)
     # verdicts need three checkpoints of decay evidence
     v = verdict(profile, policy) if len(cps) >= 3 else Verdict.INCONCLUSIVE

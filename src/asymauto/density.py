@@ -22,7 +22,6 @@ from .errors import RangeError
 from .seqlib import Sequence
 
 _SCAN_CHUNK = 1 << 18
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
 
 
 def _workers() -> int:
@@ -97,6 +96,17 @@ def _chunked_prefix_counts(count_chunk, cps: Checkpoints) -> tuple:
             total += span_counts[i]
             i += 1
         counts.append(total)
+    return tuple(counts)
+
+
+def prefix_counts(mism: np.ndarray, cps: Checkpoints) -> tuple:
+    """Nonzero entries of mism[:n] for each checkpoint n, in one pass over mism."""
+    counts = []
+    total = prev = 0
+    for n in cps:
+        total += int(np.count_nonzero(mism[prev:n]))
+        counts.append(total)
+        prev = n
     return tuple(counts)
 
 
@@ -218,15 +228,23 @@ class DensityEstimate:
         return max(self.fractions)
 
 
-def density_estimate(indicator: Sequence, cps: Checkpoints) -> DensityEstimate:
-    """Min/max prefix fraction of 1s; finite stand-ins for lower/upper density."""
-    if len(indicator.alphabet) != 2:
-        raise ValueError("density_estimate needs a binary alphabet")
+def _ones_counts(indicator: Sequence, cps: Checkpoints, caller: str) -> tuple:
+    """Positions labeled "1" in each prefix of a binary indicator."""
+    if len(indicator.alphabet) != 2 or "1" not in indicator.alphabet:
+        raise ValueError(
+            f"{caller} needs a binary alphabet with a label \"1\", got {indicator.alphabet}"
+        )
+    one = indicator.alphabet.index("1")
 
     def count_chunk(lo, hi):
-        return int(np.count_nonzero(indicator.values(lo, hi - lo)))
+        return int(np.count_nonzero(indicator.values(lo, hi - lo) == one))
 
-    counts = _chunked_prefix_counts(count_chunk, cps)
+    return _chunked_prefix_counts(count_chunk, cps)
+
+
+def density_estimate(indicator: Sequence, cps: Checkpoints) -> DensityEstimate:
+    """Min/max prefix fraction of 1s; finite stand-ins for lower/upper density."""
+    counts = _ones_counts(indicator, cps, "density_estimate")
     return DensityEstimate(indicator.name, cps, counts)
 
 
@@ -250,15 +268,8 @@ class SubsequenceDensity:
 
 def density_along_subsequence(indicator: Sequence, n_list) -> SubsequenceDensity:
     """Max prefix fraction over the given schedule; caller applies the sandwich."""
-    if len(indicator.alphabet) != 2:
-        raise ValueError("density_along_subsequence needs a binary alphabet")
     n_list = tuple(n_list)
-    cps = Checkpoints(n_list)
-
-    def count_chunk(lo, hi):
-        return int(np.count_nonzero(indicator.values(lo, hi - lo)))
-
-    counts = _chunked_prefix_counts(count_chunk, cps)
+    counts = _ones_counts(indicator, Checkpoints(n_list), "density_along_subsequence")
     cap = 1.0
     for a, b in zip(n_list, n_list[1:]):
         cap = max(cap, b / a)
@@ -287,7 +298,7 @@ def _popcount(bits: np.ndarray) -> int:
     total = 0
     step = 1 << 20
     for lo in range(0, len(bits), step):
-        total += int(_POPCOUNT8[bits[lo : lo + step]].sum(dtype=np.int64))
+        total += int(np.bitwise_count(bits[lo : lo + step]).sum(dtype=np.int64))
     return total
 
 

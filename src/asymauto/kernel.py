@@ -4,8 +4,10 @@ Kernel elements n -> f(k**a n + r) for a <= depth are clustered greedily in
 (a, r) order: an element joins the first class whose representative disagrees
 with it on at most tau * N_final points, otherwise it founds a class.  Greedy
 first-fit over a fixed order keeps results reproducible even though empirical
-discrepancy is only a pseudo-metric; the full pairwise count matrix is kept
-alongside for audit.
+discrepancy is only a pseudo-metric.  The full pairwise count matrix, which
+the clustering reads, is kept alongside for audit; it is computed on the bit
+planes of the symbol indices packed into uint64 words, so every alphabet size
+takes the same XOR, OR and popcount path.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .digits import INT_LIMIT, Word, expand_padded, value
-from .density import Checkpoints, sequence_values
+from .digits import Word, expand_padded, value
+from .density import Checkpoints, prefix_counts, sequence_values
 from .errors import RangeError
 from .seqlib import Sequence, compress
 
@@ -73,6 +75,46 @@ def _element_order(k: int, depth: int) -> list:
     return [(a, r) for a in range(depth + 1) for r in range(k**a)]
 
 
+# bytes of f materialised (k**depth * N), mirroring union_density's bit_budget
+_BYTE_BUDGET = 1 << 31
+# uint64 words one XOR step of the pairwise matrix holds (16 MiB)
+_XOR_WORDS = 1 << 21
+
+
+def _pack_planes(arrays: list, n_sym: int) -> np.ndarray:
+    """Bit p of every symbol index, 64 positions to a word: (elements, planes, words).
+
+    Positions past the end stay 0 in every element, so they never differ.
+    """
+    planes = max(1, (n_sym - 1).bit_length())
+    n = len(arrays[0])
+    packed = np.zeros((len(arrays), planes, -(-n // 64)), dtype="<u8")
+    as_bytes = packed.view(np.uint8)
+    for i, v in enumerate(arrays):
+        for p in range(planes):
+            as_bytes[i, p, : -(-n // 8)] = np.packbits(v & (1 << p), bitorder="little")
+    return packed
+
+
+def _differ(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Words whose set bits are the positions where x and y differ: XOR, OR over planes."""
+    return np.bitwise_or.reduce(x ^ y, axis=-2)
+
+
+def _pairwise_counts(packed: np.ndarray) -> np.ndarray:
+    """Positions where two elements differ, by popcount of the differ words."""
+    d = len(packed)
+    matrix = np.zeros((d, d), dtype=np.int64)
+    block = max(1, _XOR_WORDS // packed[0].size)  # rows XORed at once
+    for i in range(d - 1):
+        for lo in range(i + 1, d, block):
+            hi = min(lo + block, d)
+            counts = np.bitwise_count(_differ(packed[lo:hi], packed[i])).sum(axis=1, dtype=np.int64)
+            matrix[i, lo:hi] = counts
+            matrix[lo:hi, i] = counts
+    return matrix
+
+
 def cluster_kernel(
     f: Sequence,
     k: int,
@@ -89,21 +131,21 @@ def cluster_kernel(
         raise ValueError(f"depth must be nonnegative, got {depth}")
     n_final = cps.final
     factor = k**depth
-    if factor * (n_final - 1) + factor - 1 >= INT_LIMIT:
+    if factor * n_final > _BYTE_BUDGET:
         raise RangeError(
-            f"k**depth * N overflows 2**63 for k={k}, depth={depth}, N={n_final}"
+            f"k**depth * N = {factor * n_final} bytes for k={k}, depth={depth}, "
+            f"N={n_final} exceed the kernel budget of {_BYTE_BUDGET} bytes"
         )
 
-    # one pass over f, then every element is a strided slice of it
+    # one pass over f; every element is a strided view of it, packed
     big = sequence_values(f, factor * n_final)
     order = _element_order(k, depth)
-    arrays = [
-        np.ascontiguousarray(big[r :: k**a][:n_final]) for a, r in order
-    ]
+    packed = _pack_planes([big[r :: k**a][:n_final] for a, r in order], len(f.alphabet))
     del big
+    matrix = _pairwise_counts(packed)
 
-    budget = tau * n_final
-    reps: list = []  # indices into `order`/`arrays`
+    threshold = tau * n_final
+    reps: list = []  # indices into `order`/`packed`
     assignment: list = []
     classes_by_depth = []
     level = 0
@@ -112,7 +154,7 @@ def cluster_kernel(
             classes_by_depth.append(len(reps))
             level += 1
         for cid, ri in enumerate(reps):
-            if np.count_nonzero(arrays[i] != arrays[ri]) <= budget:
+            if matrix[i, ri] <= threshold:
                 assignment.append(cid)
                 break
         else:
@@ -130,15 +172,9 @@ def cluster_kernel(
 
     profiles = {}
     for i, er in enumerate(order):
-        mism = arrays[i] != arrays[reps[assignment[i]]]
-        profiles[er] = tuple(int(np.count_nonzero(mism[:n])) for n in cps)
-
-    d = len(order)
-    matrix = np.zeros((d, d), dtype=np.int64)
-    for i in range(d):
-        for j in range(i + 1, d):
-            c = int(np.count_nonzero(arrays[i] != arrays[j]))
-            matrix[i, j] = matrix[j, i] = c
+        differ = _differ(packed[i], packed[reps[assignment[i]]])
+        mism = np.unpackbits(differ.view(np.uint8), count=n_final, bitorder="little")
+        profiles[er] = prefix_counts(mism, cps)
 
     return KernelQuotient(
         source=f.name,

@@ -1,14 +1,17 @@
 """Sequences over small alphabets and the binary digit statistics behind them.
 
-A Sequence is n -> leaf(scale * n + offset): a leaf evaluator over uint64
-index arrays plus the index arithmetic of shift and compress.  Its one
+A Sequence is n -> leaf(scale * n + offset): a leaf evaluator over arithmetic
+progressions plus the index arithmetic of shift and compress.  Its one
 evaluation path, `values(start, count)`, reads count consecutive terms,
 which is the leaf progression first = scale * start + offset with stride
 scale; it checks the last term once against 2**63 and the leaf's coverage
-and calls the leaf on one uint64 block.  Nothing here touches
-floating point (the integer square root is a pure-integer Newton iteration).
-Sequences are immutable after construction and safe to share between threads;
-evaluation is pure.
+and calls `leaf(first, step, count)` once.  A leaf fills its block however
+its structure allows: two-three repeats the gap parities over run lengths,
+`file:` slices its table with a step, and the digit statistics and periodic
+sequences evaluate the uint64 progression from `_progression`.  Nothing here
+touches floating point (the integer square root is a pure-integer Newton
+iteration).  Sequences are immutable after construction and safe to share
+between threads; evaluation is pure.
 """
 
 from __future__ import annotations
@@ -177,13 +180,23 @@ def _check_alphabet_size(name: str, size: int) -> None:
         raise ValueError(f"{name}: alphabet has {size} symbols, need between 1 and 256")
 
 
+def _progression(first: int, step: int, count: int) -> np.ndarray:
+    """The uint64 indices first, first + step, ..., first + step * (count - 1)."""
+    ns = np.arange(count, dtype=np.uint64)
+    if step != 1:
+        ns *= np.uint64(step)
+    if first:
+        ns += np.uint64(first)
+    return ns
+
+
 class Sequence:
     """The map n -> leaf(scale * n + offset) into indices of a label alphabet.
 
-    `leaf` takes a uint64 array of indices in [0, limit] to symbol indices,
-    and `limit` is capped below 2**63.  Shift and compress only compose
-    `scale` and `offset`, so every sequence evaluates through the one range
-    check in `values`.
+    `leaf(first, step, count)` returns the symbol indices at the leaf indices
+    first, first + step, ..., all in [0, limit], and `limit` is capped below
+    2**63.  Shift and compress only compose `scale` and `offset`, so every
+    sequence evaluates through the one range check in `values`.
     """
 
     __slots__ = ("name", "alphabet", "_leaf", "limit", "scale", "offset")
@@ -221,12 +234,9 @@ class Sequence:
             if top >= INT_LIMIT:
                 raise RangeError(f"{where}, past the 2**63 range")
             raise CoverageError(f"{where}, beyond coverage [0, {self.limit}]")
-        ns = np.arange(count, dtype=np.uint64)
-        if count > 1 and self.scale != 1:
-            ns *= np.uint64(self.scale)
-        if first:
-            ns += np.uint64(first)
-        return self._leaf(ns).astype(np.uint8, copy=False)
+        # a one-term block has no stride; the scale may pass 2**64 there
+        step = self.scale if count > 1 else 1
+        return self._leaf(first, step, count).astype(np.uint8, copy=False)
 
     def __call__(self, n: int) -> int:
         return int(self.values(n, 1)[0])
@@ -273,12 +283,11 @@ def periodic(values) -> Sequence:
     _check_alphabet_size(name, size)
     table = np.array(values, dtype=np.uint8)
     q = np.uint64(len(values))
-    return Sequence(
-        name,
-        (str(i) for i in range(size)),
-        lambda ns: table[(ns % q).astype(np.int64)],
-        _MAX_INDEX,
-    )
+
+    def leaf(first, step, count):
+        return table[(_progression(first, step, count) % q).astype(np.int64)]
+
+    return Sequence(name, (str(i) for i in range(size)), leaf, _MAX_INDEX)
 
 
 def sequence_from_file(path) -> Sequence:
@@ -293,7 +302,11 @@ def sequence_from_file(path) -> Sequence:
     name = f"file:{path}"
     _check_alphabet_size(name, len(index))
     table = np.fromiter((index[lab] for lab in labels), dtype=np.uint8, count=len(labels))
-    return Sequence(name, index, lambda ns: table[ns.astype(np.int64)], len(labels) - 1)
+
+    def leaf(first, step, count):
+        return table[first : first + step * (count - 1) + 1 : step].copy()
+
+    return Sequence(name, index, leaf, len(labels) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -318,32 +331,29 @@ _PRIME_FLAGS = np.array([_is_prime_small(i) for i in range(64)], dtype=np.uint8)
 
 def seq_leading_prime() -> Sequence:
     """1 exactly when the count of leading binary 1s is prime."""
-    return Sequence(
-        "leading-prime",
-        ("0", "1"),
-        lambda ns: _PRIME_FLAGS[_leading_ones_u64(ns).astype(np.int64)],
-        _MAX_INDEX,
-    )
+
+    def leaf(first, step, count):
+        return _PRIME_FLAGS[_leading_ones_u64(_progression(first, step, count)).astype(np.int64)]
+
+    return Sequence("leading-prime", ("0", "1"), leaf, _MAX_INDEX)
 
 
 def seq_run_parity() -> Sequence:
     """Parity of the longest block of consecutive binary 1s."""
-    return Sequence(
-        "run-parity",
-        ("0", "1"),
-        lambda ns: (_max_run_u64(ns) & _U1).astype(np.uint8),
-        _MAX_INDEX,
-    )
+
+    def leaf(first, step, count):
+        return (_max_run_u64(_progression(first, step, count)) & _U1).astype(np.uint8)
+
+    return Sequence("run-parity", ("0", "1"), leaf, _MAX_INDEX)
 
 
 def seq_sqrt_parity() -> Sequence:
     """Parity of the integer square root."""
-    return Sequence(
-        "sqrt-parity",
-        ("0", "1"),
-        lambda ns: (_isqrt_u64(ns) & _U1).astype(np.uint8),
-        _MAX_INDEX,
-    )
+
+    def leaf(first, step, count):
+        return (_isqrt_u64(_progression(first, step, count)) & _U1).astype(np.uint8)
+
+    return Sequence("sqrt-parity", ("0", "1"), leaf, _MAX_INDEX)
 
 
 def seq_two_three(table: SmoothTable) -> Sequence:
@@ -359,8 +369,15 @@ def seq_two_three(table: SmoothTable) -> Sequence:
     values = np.array([e.value for e in table.entries], dtype=np.uint64)
     parities = np.array([e.parity for e in table.entries], dtype=np.uint8)
 
-    def leaf(ns):
-        idx = np.searchsorted(values, ns, side="right").astype(np.int64) - 1
-        return parities[np.maximum(idx, 0)]
+    def leaf(first, step, count):
+        # gaps i0..i1 hold first and the last term; the terms before the
+        # breakpoint H_i number ceil((H_i - first) / step)
+        top = first + step * (count - 1)
+        i0 = max(int(np.searchsorted(values, first, side="right")) - 1, 0)
+        i1 = max(int(np.searchsorted(values, top, side="right")) - 1, 0)
+        ahead = values[i0 + 1 : i1 + 1] - np.uint64(first) + np.uint64(step - 1)
+        before = (ahead // np.uint64(step)).astype(np.int64)
+        runs = np.diff(before, prepend=0, append=count)
+        return np.repeat(parities[i0 : i1 + 1], runs)
 
     return Sequence(f"two-three[limit={table.limit}]", ("+1", "-1"), leaf, table.limit)

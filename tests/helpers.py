@@ -103,3 +103,31 @@ def tribonacci_no_triple_ones(length: int) -> int:
     for _ in range(length - 2):
         a, b, c = b, c, a + b + c
     return c
+
+
+def kernel_elements_by_loop(values: list, k: int, depth: int, n: int) -> dict:
+    """(alpha, r) -> [values[k**alpha * i + r] for i < n], one Python list each."""
+    return {
+        (a, r): [values[k**a * i + r] for i in range(n)]
+        for a in range(depth + 1)
+        for r in range(k**a)
+    }
+
+
+def disagreements(u: list, v: list, n: int) -> int:
+    return sum(1 for x, y in zip(u[:n], v[:n]) if x != y)
+
+
+def majority_by_residue_loop(values: list, q: int):
+    """Per residue class mod q: (smallest most frequent symbol, (top - runner-up) / size)."""
+    symbols, margins = [], []
+    for r in range(q):
+        tally = {}
+        for x in values[r::q]:
+            tally[x] = tally.get(x, 0) + 1
+        ranked = sorted(tally.items(), key=lambda kv: (-kv[1], kv[0]))
+        top = ranked[0][1]
+        runner = ranked[1][1] if len(ranked) > 1 else 0
+        symbols.append(ranked[0][0])
+        margins.append((top - runner) / len(values[r::q]))
+    return symbols, margins

@@ -97,6 +97,15 @@ def test_exit_codes(tmp_path):
     assert main([]) == 2
 
 
+def test_kernel_budget_is_a_range_error(capsys):
+    # 3**12 * 2**20 values would be materialised; refused before allocating
+    args = ["kernel", "--seq", "two-three", "--base", "3", "--depth", "12", "--nmax", "1048576"]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("range error: ") and "budget" in err
+    assert err.count("\n") == 1
+
+
 def test_expect_flag(tmp_path):
     args = ["shift", "--seq", "two-three", "--m", "1", "--nmax", "65536", "--tau", "0.002"]
     assert main(args + ["--expect", "equal"]) == 0

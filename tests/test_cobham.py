@@ -20,7 +20,9 @@ from asymauto import (
     sequence_values,
     shift_invariance,
 )
-from asymauto.cobham import fits_to_csv
+from asymauto.cobham import _majority_fit, fits_to_csv
+
+from helpers import majority_by_residue_loop
 
 CPS16 = Checkpoints.geometric(1 << 8, 1 << 16)
 
@@ -88,6 +90,26 @@ def test_majority_fit_is_pointwise_optimal():
                 cand_arr = np.array(cand, dtype=np.uint8)
                 count = int(np.count_nonzero(table != cand_arr[residues]))
                 assert fit_count <= count
+
+
+@pytest.mark.parametrize("n_sym", [2, 3, 5])
+def test_fit_sweep_matches_residue_loop(n_sym):
+    # a random period-997 sequence; 5003 and 7919 are divisible by no q <= 64
+    # except 1, and fitting on a shorter prefix than the last checkpoint
+    # profiles the fitted symbols past it
+    rng = np.random.default_rng(n_sym)
+    period = rng.integers(0, n_sym, 997)
+    period[:n_sym] = np.arange(n_sym)
+    f = periodic(period.tolist())
+    fit_n, cps = 5003, Checkpoints((1000, 5003, 7919))
+    values = [int(period[n % 997]) for n in range(cps.final)]
+    for q, fit in zip(range(1, 65), periodic_fit_sweep(f, 64, fit_n, cps)):
+        symbols, margins = majority_by_residue_loop(values[:fit_n], q)
+        got_symbols, got_margins = _majority_fit(np.array(values[:fit_n], dtype=np.uint8), q, n_sym)
+        assert got_symbols.tolist() == symbols and got_margins.tolist() == margins, q
+        assert fit.symbols == tuple(symbols) and fit.margins == tuple(margins), q
+        want = tuple(sum(1 for i in range(m) if values[i] != symbols[i % q]) for m in cps)
+        assert fit.profile.counts == want, q
 
 
 def test_fit_fraction_capped_by_alphabet():

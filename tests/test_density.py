@@ -18,19 +18,22 @@ from asymauto import (
     periodic,
     seq_run_parity,
     seq_two_three,
+    sequence_from_file,
     shift,
     union_density_experiment,
     verdict,
 )
-from asymauto.density import DiscrepancyProfile
-from asymauto.seqlib import _max_run_u64
+from asymauto.density import DiscrepancyProfile, prefix_counts
+from asymauto.seqlib import _max_run_u64, _progression
 
 from helpers import tribonacci_no_triple_ones, union_by_marking_sets
 
 
 def scalar_leaf(fn):
-    """A leaf that applies the Python scalar map fn to each index."""
-    return lambda ns: np.fromiter((fn(n) for n in ns.tolist()), dtype=np.uint8, count=len(ns))
+    """A leaf that applies the Python scalar map fn to each index of its progression."""
+    return lambda first, step, count: np.fromiter(
+        (fn(first + i * step) for i in range(count)), dtype=np.uint8, count=count
+    )
 
 
 def binary_sequence(name, fn):
@@ -149,7 +152,9 @@ def test_density_estimate_short_runs_indicator():
     indicator = Sequence(
         "short-runs",
         ("0", "1"),
-        lambda ns: (_max_run_u64(ns) < np.uint64(3)).astype(np.uint8),
+        lambda first, step, count: (
+            _max_run_u64(_progression(first, step, count)) < np.uint64(3)
+        ).astype(np.uint8),
         INT_LIMIT - 1,
     )
     assert indicator.values(0, 1 << 12).tolist() == [int(max_run(n) < 3) for n in range(1 << 12)]
@@ -160,6 +165,31 @@ def test_density_estimate_short_runs_indicator():
     fractions = est.fractions
     assert all(a > b for a, b in zip(fractions, fractions[1:]))
     assert est.counts[-1] == 2555757  # fraction 0.1523 at 2^24
+
+
+def test_density_counts_the_label_one(tmp_path):
+    # a file: indicator starting with "1" gets the alphabet ("1", "0"), so
+    # label "1" sits on index 0; its one position is what is counted
+    path = tmp_path / "ind.txt"
+    path.write_text("1\n0\n0\n0\n", encoding="utf-8")
+    f = sequence_from_file(path)
+    assert f.alphabet == ("1", "0")
+    assert density_estimate(f, Checkpoints((1, 2, 4))).counts == (1, 1, 1)
+    assert density_along_subsequence(f, [2, 4]).counts == (1, 1)
+    odd = binary_sequence("odd", lambda n: n & 1)
+    assert density_estimate(odd, Checkpoints((4, 9))).counts == (2, 4)
+    no_one = Sequence("ab", ("a", "b"), scalar_leaf(lambda n: n & 1), INT_LIMIT - 1)
+    for call in (lambda: density_estimate(no_one, Checkpoints((4,))),
+                 lambda: density_along_subsequence(no_one, [4])):
+        with pytest.raises(ValueError, match='label "1"'):
+            call()
+
+
+def test_prefix_counts_one_pass():
+    rng = np.random.default_rng(3)
+    mism = rng.random(5000) < 0.3
+    cps = Checkpoints((1, 63, 64, 1000, 4999, 5000))
+    assert prefix_counts(mism, cps) == tuple(int(mism[:n].sum()) for n in cps)
 
 
 def test_density_along_subsequence_even():

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from asymauto import (
@@ -16,7 +17,10 @@ from asymauto import (
     seq_run_parity,
     seq_sqrt_parity,
     seq_two_three,
+    sequence_from_file,
 )
+
+from helpers import disagreements, kernel_elements_by_loop
 
 CPS18 = Checkpoints.geometric(1 << 10, 1 << 18)
 
@@ -122,3 +126,50 @@ def test_quotient_json_roundtrip():
     assert obj["violations"] == []
     assert len(obj["pairwise_final_counts"]) == 7
     assert obj["classes"][0]["representative"] == {"alpha": 0, "r": 0}
+
+
+@pytest.mark.parametrize("n_sym", [1, 2, 3, 5, 256])
+@pytest.mark.parametrize("k,depth", [(2, 3), (3, 2)])
+def test_packed_matrix_and_profiles_match_direct_counts(tmp_path, n_sym, k, depth):
+    # 1 to 8 bit planes, N = 1237 is not a multiple of 64; two noisy
+    # alternating patterns make classes with nonzero profiles
+    cps = Checkpoints((100, 640, 1237))
+    n = cps.final
+    rng = np.random.default_rng(n_sym * 10 + k)
+    size = k**depth * n
+    pattern = np.array([0, n_sym - 1])[np.arange(size) % 2]
+    noise = rng.random(size) < 0.05
+    values = np.where(noise, rng.integers(0, n_sym, size), pattern)
+    values[-n_sym:] = np.arange(n_sym)  # every symbol occurs
+    values = values.tolist()
+    path = tmp_path / "seq.txt"
+    path.write_text("".join(f"s{v}\n" for v in values), encoding="utf-8")
+    f = sequence_from_file(path)
+    assert len(f.alphabet) == n_sym
+    q = cluster_kernel(f, k, depth, cps, 0.2)
+
+    elements = kernel_elements_by_loop(values, k, depth, n)
+    order = list(elements)
+    assert q.matrix.dtype == np.int64
+    for i, u in enumerate(order):
+        for j, v in enumerate(order):
+            assert q.matrix[i, j] == disagreements(elements[u], elements[v], n), (u, v)
+    # the greedy first-fit over the direct counts, and each profile against its rep
+    reps = []
+    for i, er in enumerate(order):
+        cid = next((c for c, ri in enumerate(reps)
+                    if disagreements(elements[er], elements[order[ri]], n) <= 0.2 * n), None)
+        if cid is None:
+            cid = len(reps)
+            reps.append(i)
+        assert q.labels[er] == cid
+        rep = elements[order[reps[cid]]]
+        assert q.profiles[er] == tuple(disagreements(elements[er], rep, m) for m in cps)
+    assert (q.class_count == 1) is (n_sym == 1)
+    assert any(counts[-1] for counts in q.profiles.values()) is (n_sym > 1)
+
+
+def test_kernel_budget_checked_before_allocating():
+    # 3**12 * 2**20 bytes would be materialised: refused, not attempted
+    with pytest.raises(RangeError, match="budget"):
+        cluster_kernel(two_three(), 3, 12, Checkpoints.geometric(1 << 10, 1 << 20), 0.25)

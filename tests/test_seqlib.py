@@ -155,6 +155,55 @@ def test_two_three_values_and_coverage():
         compress(f, 2, 2, r).values(q, 2)  # f(limit - 3), f(limit + 1)
 
 
+TWO_THREE_STRIDES = [(1, 0), (2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4)]
+
+
+def strided_block(f, k, a, first, count):
+    """f(first), f(first + k**a), ... read through compress, so the leaf sees stride k**a."""
+    q, r = divmod(first, k**a)
+    return (compress(f, k, a, r) if a else f).values(q, count).tolist()
+
+
+def test_two_three_run_length_fill_at_zero():
+    # n = 0 lies below H_0 = 1 and takes its sign; one-term blocks included
+    limit = 10**5
+    f, naive = seq_two_three(enumerate_smooth(limit)), two_three_naive(limit)
+    for k, a in TWO_THREE_STRIDES:
+        for count in (1, 2, 3, 40):
+            want = [naive(i * k**a) for i in range(count)]
+            assert strided_block(f, k, a, 0, count) == want, (k, a, count)
+    assert f(0) == 0
+
+
+def test_two_three_run_length_fill_at_each_breakpoint():
+    # blocks starting exactly at H_i and one or two terms before it, so the
+    # breakpoint falls on the first, second or third term; strides up to 3**4
+    limit = 10**6
+    table = enumerate_smooth(limit)
+    f, naive = seq_two_three(table), two_three_naive(limit)
+    for h in table.values():
+        for k, a in TWO_THREE_STRIDES:
+            step = k**a
+            for first in (x for x in (h - 2 * step, h - step, h) if x >= 0):
+                count = min(25, (limit - first) // step + 1)
+                want = [naive(first + i * step) for i in range(count)]
+                assert strided_block(f, k, a, first, count) == want, (h, k, a, first)
+
+
+def test_two_three_run_length_fill_at_the_coverage_limit():
+    limit = 10**6
+    f, naive = seq_two_three(enumerate_smooth(limit)), two_three_naive(limit)
+    for k, a in TWO_THREE_STRIDES:
+        step = k**a
+        for count in (1, 7, 200):
+            first = limit - step * (count - 1)
+            assert strided_block(f, k, a, first, count) == [
+                naive(first + i * step) for i in range(count)
+            ]
+            with pytest.raises(CoverageError):
+                strided_block(f, k, a, first, count + 1)
+
+
 def test_shift_behavior():
     f = seq_sqrt_parity()
     assert shift(f, 0) is f
