@@ -31,13 +31,10 @@ from .smooth import (
 )
 from .density import (
     Checkpoints,
-    DensityEstimate,
     DiscrepancyProfile,
-    SubsequenceDensity,
     UnionDensityResult,
     Verdict,
     VerdictPolicy,
-    density_along_subsequence,
     density_estimate,
     discrepancy_profile,
     sequence_values,

@@ -11,24 +11,27 @@ carries `known_defect=True` and the analysis lives in the repo notes.
 from __future__ import annotations
 
 import filecmp
+import io
 import math
+import shlex
 import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import smooth
-from .cobham import fits_to_csv, periodic_fit, periodic_fit_sweep, shift_invariance
+from . import cli, smooth
+from .cobham import periodic_fit, periodic_fit_sweep, shift_invariance
 from .density import (
     Checkpoints,
     discrepancy_profile,
     union_density_experiment,
 )
 from .digits import expand, expand_padded, value
-from .kernel import check_labeling_consistency, cluster_kernel, quotient_to_json
+from .kernel import check_labeling_consistency, cluster_kernel
 from .seqlib import (
     Sequence,
     compress,
@@ -421,49 +424,42 @@ CRITERION_TITLES = {
 }
 
 
+# (file names, CLI arguments) of the data artifacts a verify run leaves behind;
+# a file's '#' line is the command that rebuilt it, so it can be rerun as is
+VERIFY_COMMANDS = (
+    (("smooth_first200.csv",), ["smooth", "--first", "200"]),
+    (("kronecker_0.1.json",), ["smooth", "--kronecker", "0.1"]),
+    (("two_three_eval64.csv",), ["eval", "--seq", "two-three", "--range", "0:64"]),
+    (("two_three_shift1.csv", "two_three_shift1.json"),
+     ["shift", "--seq", "two-three", "--m", "1", "--nmax", "262144"]),
+    (("leading_prime_kernel_b2_d3.json",),
+     ["kernel", "--seq", "leading-prime", "--base", "2", "--depth", "3",
+      "--nmax", "262144", "--tau", "0.01"]),
+    (("two_three_fits_q16.csv",),
+     ["periodic-fit", "--seq", "two-three", "--qmax", "16", "--n", "262144"]),
+    (("union_4_1_1_9_9.json",),
+     ["union-density", "--k", "4", "--m", "1", "--gamma", "9", "--nu", "9"]),
+    (("sqrt_vs_compress5_1e5.csv",),
+     ["discrepancy", "--f", "sqrt-parity", "--g", "compress:5:1:0:sqrt-parity",
+      "--nmax", "100000"]),
+)
+
+
 def write_verify_outputs(outdir: Path) -> list:
-    """The deterministic data artifacts a verify run leaves behind."""
+    """Run each verify command through the CLI, its output files under outdir."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
-
-    def emit(name: str, meta: str, text: str):
-        path = outdir / name
-        path.write_text(f"# {meta}\n{text}", encoding="utf-8", newline="\n")
-        written.append(path)
-
-    table = smooth.SmoothTable.first(201)
-    emit("smooth_first200.csv", "asymauto smooth first=201", smooth.table_to_csv(table, 200))
-
-    gaps = smooth.kronecker_gap(Fraction(1, 10))
-    emit("kronecker_0.1.json", "asymauto smooth kronecker=0.1", smooth.kronecker_to_json(gaps))
-
-    f = seq_two_three(smooth.enumerate_smooth(1 << 40))
-    rows = ["n,value"] + [f"{n},{f.label(n)}" for n in range(64)]
-    emit("two_three_eval64.csv", "asymauto eval seq=two-three range=0:64", "\n".join(rows) + "\n")
-
-    cps18 = Checkpoints.geometric(1 << 10, 1 << 18)
-    sp = shift_invariance(f, 1, cps18)
-    emit("two_three_shift1.csv", "asymauto shift seq=two-three m=1 nmax=262144", sp.profile.to_csv())
-    emit("two_three_shift1.json", "asymauto shift seq=two-three m=1 nmax=262144", sp.profile.to_json())
-
-    q = cluster_kernel(seq_leading_prime(), 2, 3, cps18, 1e-2)
-    emit(
-        "leading_prime_kernel_b2_d3.json",
-        "asymauto kernel seq=leading-prime base=2 depth=3 nmax=262144 tau=0.01",
-        quotient_to_json(q),
-    )
-
-    fits = periodic_fit_sweep(f, 16, 1 << 18, cps18)
-    emit("two_three_fits_q16.csv", "asymauto periodic-fit seq=two-three qmax=16 n=262144", fits_to_csv(fits))
-
-    res = union_density_experiment(4, 1, 1, 9, 9)
-    emit("union_4_1_1_9_9.json", "asymauto union-density k=4 m=1 delta=1 gamma=9 nu=9", res.to_json())
-
-    g = seq_sqrt_parity()
-    prof = discrepancy_profile(g, compress(g, 5, 1, 0), Checkpoints.geometric(1 << 10, 10**5))
-    emit("sqrt_vs_compress5_1e5.csv", "asymauto discrepancy f=sqrt-parity g=compress:5:1:0:sqrt-parity nmax=100000", prof.to_csv())
-
+    for names, argv in VERIFY_COMMANDS:
+        paths = [outdir / name for name in names]
+        for path in paths:
+            argv = argv + ["--" + path.suffix[1:], str(path)]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = cli.main(argv)
+        if rc != 0:
+            raise RuntimeError(f"asymauto {shlex.join(argv)} exited {rc}: {err.getvalue().strip()}")
+        written += paths
     return written
 
 

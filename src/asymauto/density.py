@@ -1,10 +1,13 @@
 """Exact prefix counting: discrepancy profiles, density estimates, verdicts.
 
 Everything here is an exact count at explicit finite checkpoints; nothing
-claims a limit.  A profile plus a declared verdict policy is the strongest
+claims a limit.  One type holds such counts, `DiscrepancyProfile`: the
+disagreements of two sequences, or the ones of an indicator (a density
+estimate).  A profile plus a declared verdict policy is the strongest
 statement the package makes.  Scans run chunk by chunk over uint64 blocks and
 counts are additive over disjoint chunks, so an optional thread pool (size
-from ASYMAUTO_THREADS) changes nothing about result order or totals.
+from ASYMAUTO_THREADS, at most the cpu count) changes nothing about result
+order or totals.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ _SCAN_CHUNK = 1 << 18
 
 
 def _workers() -> int:
+    """Threads of the scan pool: ASYMAUTO_THREADS, clamped to [1, cpu count]."""
     try:
-        return max(1, int(os.environ.get("ASYMAUTO_THREADS", "1")))
+        wanted = int(os.environ.get("ASYMAUTO_THREADS", "1"))
     except ValueError:
         return 1
+    return max(1, min(wanted, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,8 @@ class Checkpoints:
         """first, first*ratio, ... capped and finished at last."""
         if ratio < 2:
             raise ValueError(f"ratio must be >= 2, got {ratio}")
+        if first < 1:
+            raise ValueError(f"first checkpoint must be >= 1, got {first}")
         first = min(first, last)
         vals = []
         v = first
@@ -63,6 +70,11 @@ class Checkpoints:
     @property
     def final(self) -> int:
         return self.values[-1]
+
+    @property
+    def ratio_cap(self) -> float:
+        """max N_{i+1}/N_i (1.0 for one checkpoint), the lambda of the sandwich bound."""
+        return max([1.0] + [b / a for a, b in zip(self.values, self.values[1:])])
 
     def __iter__(self):
         return iter(self.values)
@@ -121,7 +133,12 @@ def sequence_values(f: Sequence, n: int, chunk: int = _SCAN_CHUNK) -> np.ndarray
 
 @dataclass(frozen=True)
 class DiscrepancyProfile:
-    """Exact disagreement counts of two sequences at a checkpoint schedule."""
+    """Exact counts at a checkpoint schedule.
+
+    From `discrepancy_profile`: positions where `left` and `right` disagree.
+    From `density_estimate`: positions where the indicator `left` is labeled
+    `right` ("1").
+    """
 
     left: str
     right: str
@@ -207,73 +224,23 @@ def verdict(profile: DiscrepancyProfile, policy: VerdictPolicy = VerdictPolicy()
     return Verdict.INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
-    """Prefix fractions of an indicator sequence over a checkpoint schedule."""
+def density_estimate(indicator: Sequence, cps: Checkpoints) -> DiscrepancyProfile:
+    """Positions labeled "1" in each prefix of a binary indicator.
 
-    name: str
-    checkpoints: Checkpoints
-    counts: tuple
-
-    @property
-    def fractions(self) -> tuple:
-        return tuple(c / n for c, n in zip(self.counts, self.checkpoints))
-
-    @property
-    def low(self) -> float:
-        return min(self.fractions)
-
-    @property
-    def high(self) -> float:
-        return max(self.fractions)
-
-
-def _ones_counts(indicator: Sequence, cps: Checkpoints, caller: str) -> tuple:
-    """Positions labeled "1" in each prefix of a binary indicator."""
+    The min and max of `.fractions` are finite stand-ins for the lower and
+    upper density; along a sparse schedule the caller applies the sandwich
+    bound with `cps.ratio_cap`.
+    """
     if len(indicator.alphabet) != 2 or "1" not in indicator.alphabet:
         raise ValueError(
-            f"{caller} needs a binary alphabet with a label \"1\", got {indicator.alphabet}"
+            f"density_estimate needs a binary alphabet with a label \"1\", got {indicator.alphabet}"
         )
     one = indicator.alphabet.index("1")
 
     def count_chunk(lo, hi):
         return int(np.count_nonzero(indicator.values(lo, hi - lo) == one))
 
-    return _chunked_prefix_counts(count_chunk, cps)
-
-
-def density_estimate(indicator: Sequence, cps: Checkpoints) -> DensityEstimate:
-    """Min/max prefix fraction of 1s; finite stand-ins for lower/upper density."""
-    counts = _ones_counts(indicator, cps, "density_estimate")
-    return DensityEstimate(indicator.name, cps, counts)
-
-
-@dataclass(frozen=True)
-class SubsequenceDensity:
-    """Prefix fractions along a custom increasing schedule, plus its ratio cap."""
-
-    name: str
-    prefixes: tuple
-    counts: tuple
-    ratio_cap: float  # max N_{i+1}/N_i, the lambda of the sandwich bound
-
-    @property
-    def fractions(self) -> tuple:
-        return tuple(c / n for c, n in zip(self.counts, self.prefixes))
-
-    @property
-    def max_fraction(self) -> float:
-        return max(self.fractions)
-
-
-def density_along_subsequence(indicator: Sequence, n_list) -> SubsequenceDensity:
-    """Max prefix fraction over the given schedule; caller applies the sandwich."""
-    n_list = tuple(n_list)
-    counts = _ones_counts(indicator, Checkpoints(n_list), "density_along_subsequence")
-    cap = 1.0
-    for a, b in zip(n_list, n_list[1:]):
-        cap = max(cap, b / a)
-    return SubsequenceDensity(indicator.name, n_list, counts, cap)
+    return DiscrepancyProfile(indicator.name, "1", cps, _chunked_prefix_counts(count_chunk, cps))
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,18 @@ from .errors import RangeError
 from .seqlib import Sequence, compress
 
 
+def _element_order(k: int, depth: int) -> list:
+    """(a, r) of each kernel element to depth, in enumeration and clustering order."""
+    return [(a, r) for a in range(depth + 1) for r in range(k**a)]
+
+
 def enumerate_kernel(f: Sequence, k: int, depth: int) -> list:
     """All kernel elements of f to the given depth, in (a, then r) order."""
     if k < 2:
         raise ValueError(f"base must be >= 2, got {k}")
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
-    return [
-        compress(f, k, a, r) for a in range(depth + 1) for r in range(k**a)
-    ]
+    return [compress(f, k, a, r) for a, r in _element_order(k, depth)]
 
 
 @dataclass(frozen=True)
@@ -69,10 +72,6 @@ class KernelQuotient:
         if self.classes_by_depth[-1] == self.classes_by_depth[-2]:
             return "stable"
         return "growing"
-
-
-def _element_order(k: int, depth: int) -> list:
-    return [(a, r) for a in range(depth + 1) for r in range(k**a)]
 
 
 # bytes of f materialised (k**depth * N), mirroring union_density's bit_budget

@@ -62,12 +62,6 @@ class SmoothTable:
         self.limit = limit
 
     @classmethod
-    def up_to(cls, limit: int) -> "SmoothTable":
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        return cls(_merge(lambda v, _: v > limit), limit)
-
-    @classmethod
     def first(cls, count: int) -> "SmoothTable":
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
@@ -92,7 +86,9 @@ class SmoothTable:
 
 def enumerate_smooth(limit: int) -> SmoothTable:
     """All 3-smooth numbers <= limit, increasing, with exponents."""
-    return SmoothTable.up_to(limit)
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    return SmoothTable(_merge(lambda v, _: v > limit), limit)
 
 
 @dataclass(frozen=True)
@@ -218,11 +214,10 @@ def kronecker_to_json(gaps: KroneckerGaps) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def table_to_csv(table: SmoothTable, max_rows: int | None = None) -> str:
+def table_to_csv(table: SmoothTable) -> str:
     """CSV rows index,H,alpha,beta,ratio_to_next (last ratio left empty)."""
     rows = ["index,H,alpha,beta,ratio_to_next"]
-    n = len(table) if max_rows is None else min(max_rows, len(table))
-    for i in range(n):
+    for i in range(len(table)):
         e = table[i]
         if i + 1 < len(table):
             ratio = repr(table[i + 1].value / e.value)

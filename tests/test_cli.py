@@ -4,7 +4,8 @@ import shlex
 
 import pytest
 
-from asymauto.acceptance import write_verify_outputs
+from asymauto import acceptance
+from asymauto.acceptance import VERIFY_COMMANDS, write_verify_outputs
 from asymauto.cli import (
     CompressExpr,
     LeafExpr,
@@ -250,12 +251,39 @@ def test_header_rebuilds_the_file(tmp_path, argv, out):
     assert second.read_bytes() == first.read_bytes()
 
 
-def test_verify_kronecker_matches_smooth_command(tmp_path):
-    write_verify_outputs(tmp_path / "v")
-    assert main(["smooth", "--limit", "12", "--kronecker", "0.1",
-                 "--json", str(tmp_path / "k.json")]) == 0
+VERIFY_FILES = [name for names, _ in VERIFY_COMMANDS for name in names]
 
-    def data(path):
-        return path.read_text(encoding="utf-8").split("\n", 1)[1]
 
-    assert data(tmp_path / "v" / "kronecker_0.1.json") == data(tmp_path / "k.json")
+@pytest.fixture(scope="module")
+def verify_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("verify")
+    write_verify_outputs(out)
+    assert sorted(p.name for p in out.iterdir()) == sorted(VERIFY_FILES)
+    return out
+
+
+@pytest.mark.parametrize("name", VERIFY_FILES)
+def test_verify_header_rebuilds_the_file(verify_out, tmp_path, name):
+    first = verify_out / name
+    header = first.read_text(encoding="utf-8").split("\n", 1)[0]
+    rebuilt = shlex.split(header.removeprefix("# "))
+    assert rebuilt[0] == "asymauto"
+    second = tmp_path / name
+    assert main(rebuilt[1:] + ["--" + first.suffix[1:], str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_verify_raises_when_a_command_fails(tmp_path, monkeypatch):
+    bad = ((("bad.csv",), ["eval", "--seq", "nope", "--range", "0:4"]),)
+    monkeypatch.setattr(acceptance, "VERIFY_COMMANDS", bad)
+    with pytest.raises(RuntimeError, match="exited 2: error: unknown constructor"):
+        write_verify_outputs(tmp_path)
+
+
+def test_first_checkpoint_below_one_is_a_usage_error(capsys):
+    args = ["discrepancy", "--f", "sqrt-parity", "--g", "run-parity", "--nmax", "4096"]
+    assert main(args + ["--cp-first", "-3"]) == 2
+    assert main(["periodic-fit", "--seq", "run-parity", "--q", "2", "--n", "64",
+                 "--cp-first", "0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("first checkpoint must be >= 1" in line for line in err)

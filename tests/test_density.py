@@ -11,7 +11,6 @@ from asymauto import (
     Sequence,
     Verdict,
     VerdictPolicy,
-    density_along_subsequence,
     density_estimate,
     discrepancy_profile,
     enumerate_smooth,
@@ -49,6 +48,28 @@ def test_checkpoints_validation():
     assert tuple(cps) == (1024, 2048, 4096, 8192)
     assert tuple(Checkpoints.geometric(1024, 3000)) == (1024, 2048, 3000)
     assert tuple(Checkpoints.geometric(1024, 512)) == (512,)
+    assert cps.ratio_cap == 2.0
+    assert Checkpoints((1000, 3000, 4500)).ratio_cap == 3.0
+    assert Checkpoints((7,)).ratio_cap == 1.0
+
+
+def test_geometric_rejects_first_below_one():
+    # v *= ratio never passes `last` from 0 or below, so these once looped forever
+    for first in (0, -3):
+        with pytest.raises(ValueError, match="first checkpoint must be >= 1"):
+            Checkpoints.geometric(first, 100)
+    with pytest.raises(ValueError):
+        Checkpoints.geometric(1024, 0)
+
+
+def test_thread_count_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(density_mod.os, "cpu_count", lambda: 3)
+    for env, want in (("1000000", 3), ("2", 2), ("0", 1), ("x", 1)):
+        monkeypatch.setenv("ASYMAUTO_THREADS", env)
+        assert density_mod._workers() == want
+    monkeypatch.setattr(density_mod.os, "cpu_count", lambda: None)
+    monkeypatch.setenv("ASYMAUTO_THREADS", "4")
+    assert density_mod._workers() == 1
 
 
 def test_identical_sequences_have_zero_profile():
@@ -135,11 +156,12 @@ def test_density_estimate_even_numbers():
     evens = binary_sequence("evens", lambda n: 1 - (n & 1))
     cps = Checkpoints.geometric(1 << 10, 1 << 14)
     est = density_estimate(evens, cps)
-    assert abs(est.low - 0.5) <= 1 / 1024
-    assert abs(est.high - 0.5) <= 1 / 1024
+    assert (est.left, est.right, est.checkpoints) == ("evens", "1", cps)
+    assert abs(min(est.fractions) - 0.5) <= 1 / 1024
+    assert abs(max(est.fractions) - 0.5) <= 1 / 1024
     zeros = binary_sequence("none", lambda n: 0)
     est0 = density_estimate(zeros, cps)
-    assert (est0.low, est0.high) == (0.0, 0.0)
+    assert (min(est0.fractions), max(est0.fractions)) == (0.0, 0.0)
     with pytest.raises(ValueError):
         density_estimate(Sequence("t", ("a", "b", "c"), scalar_leaf(lambda n: 0), INT_LIMIT - 1), cps)
 
@@ -175,14 +197,12 @@ def test_density_counts_the_label_one(tmp_path):
     f = sequence_from_file(path)
     assert f.alphabet == ("1", "0")
     assert density_estimate(f, Checkpoints((1, 2, 4))).counts == (1, 1, 1)
-    assert density_along_subsequence(f, [2, 4]).counts == (1, 1)
+    assert density_estimate(f, Checkpoints((2, 4))).counts == (1, 1)
     odd = binary_sequence("odd", lambda n: n & 1)
     assert density_estimate(odd, Checkpoints((4, 9))).counts == (2, 4)
     no_one = Sequence("ab", ("a", "b"), scalar_leaf(lambda n: n & 1), INT_LIMIT - 1)
-    for call in (lambda: density_estimate(no_one, Checkpoints((4,))),
-                 lambda: density_along_subsequence(no_one, [4])):
-        with pytest.raises(ValueError, match='label "1"'):
-            call()
+    with pytest.raises(ValueError, match='label "1"'):
+        density_estimate(no_one, Checkpoints((4,)))
 
 
 def test_prefix_counts_one_pass():
@@ -194,13 +214,14 @@ def test_prefix_counts_one_pass():
 
 def test_density_along_subsequence_even():
     evens = binary_sequence("evens", lambda n: 1 - (n & 1))
-    res = density_along_subsequence(evens, [2**i for i in range(4, 15)])
-    assert res.ratio_cap == 2.0
+    cps = Checkpoints(tuple(2**i for i in range(4, 15)))
+    res = density_estimate(evens, cps)
+    assert cps.ratio_cap == 2.0
     assert all(f == 0.5 for f in res.fractions)
-    empty = density_along_subsequence(binary_sequence("none", lambda n: 0), [10, 100])
-    assert empty.max_fraction == 0.0
+    empty = density_estimate(binary_sequence("none", lambda n: 0), Checkpoints((10, 100)))
+    assert max(empty.fractions) == 0.0
     with pytest.raises(ValueError):
-        density_along_subsequence(evens, [])
+        density_estimate(evens, Checkpoints(()))
 
 
 def test_density_along_subsequence_block_set():
@@ -211,12 +232,13 @@ def test_density_along_subsequence_block_set():
         return 1 - ((n >> (n.bit_length() - 2)) & 1)
 
     blocks = binary_sequence("blocks", fn)
-    at_powers = density_along_subsequence(blocks, [2**i for i in range(6, 17)])
-    at_peaks = density_along_subsequence(blocks, [3 * 2**i for i in range(5, 16)])
+    powers = Checkpoints(tuple(2**i for i in range(6, 17)))
+    at_powers = max(density_estimate(blocks, powers).fractions)
+    at_peaks = max(density_estimate(blocks, Checkpoints(tuple(3 * 2**i for i in range(5, 16)))).fractions)
     upper = 2 / 3
-    assert abs(at_peaks.max_fraction - upper) < 0.01
-    assert abs(at_powers.max_fraction - 0.5) < 0.01
-    assert upper / at_powers.ratio_cap <= at_powers.max_fraction <= upper
+    assert abs(at_peaks - upper) < 0.01
+    assert abs(at_powers - 0.5) < 0.01
+    assert upper / powers.ratio_cap <= at_powers <= upper
 
 
 def test_covered_part_identity_on_random_bitsets():
