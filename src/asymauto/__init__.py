@@ -57,7 +57,6 @@ from .cobham import (
     ShiftProfile,
     cobham_report,
     multiplicatively_independent,
-    periodic_fit,
     periodic_fit_sweep,
     shift_invariance,
 )

@@ -11,6 +11,7 @@ carries `known_defect=True` and the analysis lives in the repo notes.
 from __future__ import annotations
 
 import filecmp
+import functools
 import io
 import math
 import shlex
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cli, smooth
-from .cobham import periodic_fit, periodic_fit_sweep, shift_invariance
+from .cobham import periodic_fit_sweep, shift_invariance
 from .density import (
     Checkpoints,
     discrepancy_profile,
@@ -43,7 +44,6 @@ from .seqlib import (
     periodic,
     seq_leading_prime,
     seq_sqrt_parity,
-    seq_two_three,
     _leading_ones_u64,
     _max_run_u64,
 )
@@ -51,24 +51,15 @@ from .seqlib import (
 _CPS_20 = Checkpoints.geometric(1 << 10, 1 << 20)
 _CPS_1E6 = Checkpoints.geometric(1 << 10, 10**6)
 
-_memo: dict = {}
 
-
-def _cached(key, builder):
-    if key not in _memo:
-        _memo[key] = builder()
-    return _memo[key]
-
-
+@functools.cache
 def _two_three() -> Sequence:
-    return _cached("two-three", lambda: seq_two_three(smooth.enumerate_smooth(1 << 40)))
+    return cli.build_sequence("two-three")
 
 
-def _quotient(key: str, seq_builder, base: int, depth: int, tau: float):
-    return _cached(
-        ("quotient", key, base, depth, tau),
-        lambda: cluster_kernel(seq_builder(), base, depth, _CPS_20, tau),
-    )
+@functools.cache
+def _quotient(seq_builder, base: int, depth: int, tau: float):
+    return cluster_kernel(seq_builder(), base, depth, _CPS_20, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +157,7 @@ _RATIO_MAX_1000_5000 = Fraction(134217728, 129140163)  # 2^27 / 3^17, by enumera
 
 
 def check_smooth_table():
-    table = _cached("smooth5001", lambda: smooth.SmoothTable.first(5001))
+    table = smooth.SmoothTable.first(5001)
     if [e.value for e in table.entries[:8]] != [1, 2, 3, 4, 6, 8, 9, 12]:
         return False, "first 8 values wrong"
     for e in table.entries:
@@ -257,14 +248,14 @@ def check_two_three_compressions():
 
 
 def check_kernel_leading_prime():
-    q = _quotient("leading-prime", seq_leading_prime, 2, 4, 1e-2)
+    q = _quotient(seq_leading_prime, 2, 4, 1e-2)
     if q.class_count != 1:
         return False, f"{q.class_count} classes, expected exactly 1"
     return True, "leading-prime base 2 depth 4: exactly 1 class at tau=1e-2"
 
 
 def check_kernel_two_three_base2():
-    q = _quotient("two-three", _two_three, 2, 5, 1e-2)
+    q = _quotient(_two_three, 2, 5, 1e-2)
     if q.class_count != 2:
         return False, (
             f"base 2 depth 5 at stated tau=1e-2 gives {q.class_count} classes, "
@@ -275,7 +266,7 @@ def check_kernel_two_three_base2():
 
 
 def check_kernel_two_three_base3():
-    q = _quotient("two-three", _two_three, 3, 4, 1e-2)
+    q = _quotient(_two_three, 3, 4, 1e-2)
     if q.class_count != 2:
         return False, (
             f"base 3 depth 4 at stated tau=1e-2 gives {q.class_count} classes, "
@@ -285,8 +276,8 @@ def check_kernel_two_three_base3():
 
 
 def check_kernel_two_three_derived_tau():
-    q2 = _quotient("two-three", _two_three, 2, 5, 0.25)
-    q3 = _quotient("two-three", _two_three, 3, 4, 0.25)
+    q2 = _quotient(_two_three, 2, 5, 0.25)
+    q3 = _quotient(_two_three, 3, 4, 0.25)
     ok = q2.class_count == 2 and q3.class_count == 2
     return ok, (
         f"at the oracle-derived tau=0.25 the sign structure appears: "
@@ -295,15 +286,15 @@ def check_kernel_two_three_derived_tau():
 
 
 def check_kernel_sqrt_parity():
-    q = _quotient("sqrt-parity", seq_sqrt_parity, 2, 3, 1e-2)
+    q = _quotient(seq_sqrt_parity, 2, 3, 1e-2)
     if q.class_count < 4:
         return False, f"{q.class_count} classes, expected >= 4"
     return True, f"sqrt-parity base 2 depth 3: {q.class_count} classes (>= 4), growing with depth"
 
 
 def check_kernel_consistency():
-    v1 = check_labeling_consistency(_quotient("leading-prime", seq_leading_prime, 2, 4, 1e-2))
-    v2 = check_labeling_consistency(_quotient("two-three", _two_three, 2, 5, 1e-2))
+    v1 = check_labeling_consistency(_quotient(seq_leading_prime, 2, 4, 1e-2))
+    v2 = check_labeling_consistency(_quotient(_two_three, 2, 5, 1e-2))
     ok = not v1 and not v2
     return ok, f"digit-extension consistency violations: {len(v1)} and {len(v2)}"
 
@@ -322,16 +313,16 @@ def check_sqrt_parity_separation():
 
 def check_periodic_fits():
     f = _two_three()
-    fits = periodic_fit_sweep(f, 64, 1 << 20, _CPS_20)
+    fits = periodic_fit_sweep(f, range(1, 65), 1 << 20, _CPS_20)
     worst = min(p.fit_fraction for p in fits)
     if worst < 0.1:
         return False, f"some period q <= 64 fits two-three with fraction {worst:.4f} < 0.1"
     g = periodic([0, 1, 1])
-    fit3 = periodic_fit(g, 3, 1 << 12)
+    (fit3,) = periodic_fit_sweep(g, [3], 1 << 12)
     if fit3.symbols != (0, 1, 1) or fit3.profile.counts[-1] != 0:
         return False, "periodic([0,1,1]) not recovered exactly at q=3"
     h = seq_sqrt_parity()
-    fit1 = periodic_fit(h, 1, 10**6, _CPS_1E6)
+    (fit1,) = periodic_fit_sweep(h, [1], 10**6, _CPS_1E6)
     if abs(fit1.fit_fraction - 0.5) > 0.01:
         return False, f"sqrt-parity q=1 discrepancy {fit1.fit_fraction:.4f} not within 0.01 of 0.5"
     return True, (

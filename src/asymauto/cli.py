@@ -20,10 +20,17 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import density, smooth
-from .cobham import cobham_report, fits_to_csv, periodic_fit, periodic_fit_sweep, shift_invariance
+from .cobham import (
+    DEFAULT_MAX_PERIOD,
+    DEFAULT_MAX_SHIFT,
+    cobham_report,
+    fits_to_csv,
+    periodic_fit_sweep,
+    shift_invariance,
+)
 from .density import Checkpoints, VerdictPolicy, discrepancy_profile, verdict
 from .errors import ExprError, RangeError
-from .kernel import check_labeling_consistency, cluster_kernel, quotient_to_json
+from .kernel import check_labeling_consistency, cluster_kernel, default_depth, quotient_to_json
 from .seqlib import (
     Sequence,
     compress,
@@ -39,10 +46,6 @@ from .seqlib import (
 DEFAULT_SMOOTH_LIMIT = 1 << 40
 DEFAULT_NMAX = 1 << 20
 DEFAULT_CP_FIRST = 1 << 10
-DEFAULT_TAU = 1e-3
-DEFAULT_RHO = 1.2
-DEFAULT_MAX_SHIFT = 8
-DEFAULT_MAX_PERIOD = 64
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +333,7 @@ def _cmd_shift(args) -> int:
 
 def _cmd_kernel(args) -> int:
     f = build_sequence(args.seq, args.smooth_limit)
-    depth = args.depth if args.depth is not None else 4 if args.base == 2 else 3
+    depth = args.depth if args.depth is not None else default_depth(args.base)
     q = cluster_kernel(f, args.base, depth, _checkpoints(args), args.tau)
     violations = check_labeling_consistency(q)
     print(
@@ -346,12 +349,12 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_periodic_fit(args) -> int:
     f = build_sequence(args.seq, args.smooth_limit)
-    cps = Checkpoints.geometric(min(args.cp_first, args.n), args.n)
     if args.q is not None:
-        fits = [periodic_fit(f, args.q, args.n, cps, _policy(args))]
+        periods = [args.q]
     else:
-        qmax = args.qmax if args.qmax is not None else DEFAULT_MAX_PERIOD
-        fits = periodic_fit_sweep(f, qmax, args.n, cps, _policy(args))
+        periods = range(1, (args.qmax if args.qmax is not None else DEFAULT_MAX_PERIOD) + 1)
+    cps = Checkpoints.geometric(args.cp_first, args.n)
+    fits = periodic_fit_sweep(f, periods, args.n, cps, _policy(args))
     for p in fits:
         print(
             f"q={p.period}: fit fraction={p.fit_fraction:.6g} "
@@ -411,8 +414,8 @@ def _cmd_verify(args) -> int:
 def _add_common(p, nmax=DEFAULT_NMAX) -> None:
     p.add_argument("--nmax", type=int, default=nmax, help="final checkpoint")
     p.add_argument("--cp-first", type=int, default=DEFAULT_CP_FIRST, help="first checkpoint")
-    p.add_argument("--tau", type=float, default=DEFAULT_TAU, help="verdict/cluster threshold")
-    p.add_argument("--rho", type=float, default=DEFAULT_RHO, help="verdict decay factor")
+    p.add_argument("--tau", type=float, default=VerdictPolicy.tau, help="verdict/cluster threshold")
+    p.add_argument("--rho", type=float, default=VerdictPolicy.rho, help="verdict decay factor")
 
 
 def _add_smooth_limit(p) -> None:
@@ -493,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"sweep periods 1..Q (defaults to {DEFAULT_MAX_PERIOD})")
     p.add_argument("--n", type=int, default=DEFAULT_NMAX, help="fitting prefix length")
     p.add_argument("--cp-first", type=int, default=DEFAULT_CP_FIRST)
-    p.add_argument("--tau", type=float, default=DEFAULT_TAU)
-    p.add_argument("--rho", type=float, default=DEFAULT_RHO)
+    p.add_argument("--tau", type=float, default=VerdictPolicy.tau)
+    p.add_argument("--rho", type=float, default=VerdictPolicy.rho)
     p.add_argument("--csv", nargs="?", const="-", default=None)
     _add_smooth_limit(p)
     p.set_defaults(handler=_cmd_periodic_fit)

@@ -24,8 +24,11 @@ from .density import (
     sequence_values,
     verdict,
 )
-from .kernel import KernelQuotient, cluster_kernel
+from .kernel import KernelQuotient, cluster_kernel, default_depth
 from .seqlib import Sequence, periodic, shift
+
+DEFAULT_MAX_SHIFT = 8
+DEFAULT_MAX_PERIOD = 64
 
 
 @dataclass(frozen=True)
@@ -97,24 +100,6 @@ def _majority_fit(table: np.ndarray, q: int, n_sym: int):
     return symbols, margins
 
 
-def periodic_fit(
-    f: Sequence,
-    q: int,
-    fit_n: int,
-    cps: Checkpoints | None = None,
-    policy: VerdictPolicy = VerdictPolicy(),
-) -> PeriodicFit:
-    """Fit the best period-q approximant on [0, fit_n) and profile it."""
-    if q < 1:
-        raise ValueError(f"period must be >= 1, got {q}")
-    if fit_n < q:
-        raise ValueError(f"fitting prefix {fit_n} shorter than period {q}")
-    if cps is None:
-        cps = Checkpoints.geometric(min(1 << 10, fit_n), fit_n)
-    table = sequence_values(f, max(fit_n, cps.final))
-    return _fit_from_table(f, table, q, fit_n, cps, policy)
-
-
 def _fit_from_table(f, table, q, fit_n, cps, policy) -> PeriodicFit:
     n_sym = len(f.alphabet)
     symbols, margins = _majority_fit(table[:fit_n], q, n_sym)
@@ -138,21 +123,26 @@ def _fit_from_table(f, table, q, fit_n, cps, policy) -> PeriodicFit:
 
 def periodic_fit_sweep(
     f: Sequence,
-    q_max: int,
+    periods,
     fit_n: int,
     cps: Checkpoints | None = None,
     policy: VerdictPolicy = VerdictPolicy(),
 ) -> list:
-    """periodic_fit for every q in 1..q_max, scanning f only once."""
-    if q_max < 1:
-        raise ValueError(f"q_max must be >= 1, got {q_max}")
+    """The best period-q approximant on [0, fit_n) for each q in periods, profiled.
+
+    periods is a list or range; f is scanned once for all of them.
+    """
+    if not periods:
+        raise ValueError("no period to fit")
+    for q in periods:
+        if q < 1:
+            raise ValueError(f"period must be >= 1, got {q}")
+        if fit_n < q:
+            raise ValueError(f"fitting prefix {fit_n} shorter than period {q}")
     if cps is None:
-        cps = Checkpoints.geometric(min(1 << 10, fit_n), fit_n)
+        cps = Checkpoints.geometric(1 << 10, fit_n)
     table = sequence_values(f, max(fit_n, cps.final))
-    return [
-        _fit_from_table(f, table, q, fit_n, cps, policy)
-        for q in range(1, q_max + 1)
-    ]
+    return [_fit_from_table(f, table, q, fit_n, cps, policy) for q in periods]
 
 
 def multiplicatively_independent(k: int, l: int) -> bool:
@@ -276,13 +266,13 @@ def cobham_report(
     k: int,
     l: int,
     *,
+    cps: Checkpoints,
     depth_k: int | None = None,
     depth_l: int | None = None,
-    cps: Checkpoints | None = None,
-    tau: float = 1e-3,
+    tau: float = VerdictPolicy.tau,
     policy: VerdictPolicy = VerdictPolicy(),
-    max_shift: int = 8,
-    max_period: int = 64,
+    max_shift: int = DEFAULT_MAX_SHIFT,
+    max_period: int = DEFAULT_MAX_PERIOD,
 ) -> CobhamReport:
     """Kernel quotients in both bases plus shift and periodic-fit sweeps.
 
@@ -291,18 +281,16 @@ def cobham_report(
     shift-invariance"; all-Distinct fits are called "no periodic approximant
     found at scale".  Nothing is asserted beyond the scanned prefix.
     """
-    if cps is None:
-        cps = Checkpoints.geometric(1 << 10, 1 << 20)
     if depth_k is None:
-        depth_k = 4 if k == 2 else 3
+        depth_k = default_depth(k)
     if depth_l is None:
-        depth_l = 4 if l == 2 else 3
+        depth_l = default_depth(l)
     quotient_k = cluster_kernel(f, k, depth_k, cps, tau)
     quotient_l = cluster_kernel(f, l, depth_l, cps, tau)
     shifts = tuple(
         shift_invariance(f, m, cps, policy) for m in range(1, max_shift + 1)
     )
-    fits = tuple(periodic_fit_sweep(f, max_period, cps.final, cps, policy))
+    fits = tuple(periodic_fit_sweep(f, range(1, max_period + 1), cps.final, cps, policy))
 
     indep = multiplicatively_independent(k, l)
     stable = quotient_k.finiteness == "stable" and quotient_l.finiteness == "stable"

@@ -7,7 +7,8 @@ estimate).  A profile plus a declared verdict policy is the strongest
 statement the package makes.  Scans run chunk by chunk over uint64 blocks and
 counts are additive over disjoint chunks, so an optional thread pool (size
 from ASYMAUTO_THREADS, at most the cpu count) changes nothing about result
-order or totals.
+order or totals.  Every table the package builds (value tables, the kernel's
+pairwise matrix, the union bitset) is checked against one budget first.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import enum
 import json
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +27,15 @@ from .errors import RangeError
 from .seqlib import Sequence
 
 _SCAN_CHUNK = 1 << 18
+# the most any one table may take, checked before allocating: bytes of a value
+# table or of the kernel's pairwise matrix, bits of the union bitset
+_BUDGET = 1 << 31
+
+
+def check_budget(size: int, unit: str, what: str) -> None:
+    """RangeError when `what` needs more than the budget; call it before allocating."""
+    if size > _BUDGET:
+        raise RangeError(f"{what}: {size} {unit} exceed the budget of {_BUDGET} {unit}")
 
 
 def _workers() -> int:
@@ -52,18 +63,17 @@ class Checkpoints:
             prev = v
 
     @classmethod
-    def geometric(cls, first: int, last: int, ratio: int = 2) -> "Checkpoints":
-        """first, first*ratio, ... capped and finished at last."""
-        if ratio < 2:
-            raise ValueError(f"ratio must be >= 2, got {ratio}")
+    def geometric(cls, first: int, last: int) -> "Checkpoints":
+        """first, 2*first, 4*first, ... below last, then last; first is clamped to last."""
         if first < 1:
             raise ValueError(f"first checkpoint must be >= 1, got {first}")
-        first = min(first, last)
+        if last < 1:
+            raise ValueError(f"last checkpoint must be >= 1, got {last}")
         vals = []
-        v = first
+        v = min(first, last)
         while v < last:
             vals.append(v)
-            v *= ratio
+            v *= 2
         vals.append(last)
         return cls(tuple(vals))
 
@@ -83,31 +93,41 @@ class Checkpoints:
         return len(self.values)
 
 
-DEFAULT_CHECKPOINTS = Checkpoints.geometric(1 << 10, 1 << 20)
+def _span_counts(count_chunk, spans):
+    """(hi, count_chunk(lo, hi)) for each span, in order, at most one chunk per worker in flight."""
+    workers = _workers()
+    if workers == 1:
+        for lo, hi in spans:
+            yield hi, count_chunk(lo, hi)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for lo, hi in spans:
+            pending.append((hi, pool.submit(count_chunk, lo, hi)))
+            if len(pending) == workers:
+                done_hi, done = pending.popleft()
+                yield done_hi, done.result()
+        for done_hi, done in pending:
+            yield done_hi, done.result()
 
 
 def _chunked_prefix_counts(count_chunk, cps: Checkpoints) -> tuple:
-    """Cumulative counts at each checkpoint; count_chunk(lo, hi) is exact."""
-    spans = []
-    prev = 0
-    for n in cps:
-        for lo in range(prev, n, _SCAN_CHUNK):
-            spans.append((lo, min(lo + _SCAN_CHUNK, n)))
-        prev = n
-    workers = _workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            span_counts = list(pool.map(lambda s: count_chunk(*s), spans))
-    else:
-        span_counts = [count_chunk(lo, hi) for lo, hi in spans]
+    """Cumulative counts at each checkpoint; count_chunk(lo, hi) is exact.
+
+    The spans are made as the scan reaches them, so memory does not grow with N.
+    """
+    ends = tuple(cps)
+    spans = (
+        (lo, min(lo + _SCAN_CHUNK, n))
+        for prev, n in zip((0,) + ends, ends)
+        for lo in range(prev, n, _SCAN_CHUNK)
+    )
     counts = []
     total = 0
-    i = 0
-    for n in cps:
-        while i < len(spans) and spans[i][1] <= n:
-            total += span_counts[i]
-            i += 1
-        counts.append(total)
+    for hi, count in _span_counts(count_chunk, spans):
+        total += count
+        if hi == ends[len(counts)]:
+            counts.append(total)
     return tuple(counts)
 
 
@@ -122,11 +142,12 @@ def prefix_counts(mism: np.ndarray, cps: Checkpoints) -> tuple:
     return tuple(counts)
 
 
-def sequence_values(f: Sequence, n: int, chunk: int = _SCAN_CHUNK) -> np.ndarray:
-    """Value table of f on [0, n) as uint8."""
+def sequence_values(f: Sequence, n: int) -> np.ndarray:
+    """Value table of f on [0, n) as uint8, refused over the budget."""
+    check_budget(n, "bytes", f"value table of {f.name} on [0, {n})")
     out = np.empty(n, dtype=np.uint8)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, _SCAN_CHUNK):
+        hi = min(lo + _SCAN_CHUNK, n)
         out[lo:hi] = f.values(lo, hi - lo)
     return out
 
@@ -315,7 +336,6 @@ def union_density_experiment(
     delta: int,
     gamma: int,
     nu: int,
-    bit_budget: int = 1 << 31,
 ) -> UnionDensityResult:
     """Exact coverage of union over a < gamma of (m * k**a * N0 + [k**delta, k**(a-delta))).
 
@@ -341,8 +361,7 @@ def union_density_experiment(
     if gamma < 0 or nu < 1:
         raise ValueError(f"need gamma >= 0 and nu >= 1, got gamma={gamma}, nu={nu}")
     total = k**nu
-    if total > bit_budget:
-        raise RangeError(f"k**nu = {total} exceeds the scan budget {bit_budget}")
+    check_budget(total, "bits", f"union bitset of k**nu = {k}**{nu}")
 
     bits = np.zeros((total + 7) // 8, dtype=np.uint8)
     low = k**delta

@@ -18,9 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .digits import Word, expand_padded, value
-from .density import Checkpoints, prefix_counts, sequence_values
-from .errors import RangeError
+from .density import Checkpoints, check_budget, prefix_counts, sequence_values
 from .seqlib import Sequence, compress
+
+
+def default_depth(k: int) -> int:
+    """Kernel depth when none is given: 4 in base 2, else 3."""
+    return 4 if k == 2 else 3
 
 
 def _element_order(k: int, depth: int) -> list:
@@ -74,8 +78,6 @@ class KernelQuotient:
         return "growing"
 
 
-# bytes of f materialised (k**depth * N), mirroring union_density's bit_budget
-_BYTE_BUDGET = 1 << 31
 # uint64 words one XOR step of the pairwise matrix holds (16 MiB)
 _XOR_WORDS = 1 << 21
 
@@ -129,15 +131,11 @@ def cluster_kernel(
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     n_final = cps.final
-    factor = k**depth
-    if factor * n_final > _BYTE_BUDGET:
-        raise RangeError(
-            f"k**depth * N = {factor * n_final} bytes for k={k}, depth={depth}, "
-            f"N={n_final} exceed the kernel budget of {_BYTE_BUDGET} bytes"
-        )
+    d = (k ** (depth + 1) - 1) // (k - 1)
+    check_budget(8 * d * d, "bytes", f"pairwise matrix of the {d} kernel elements to depth {depth}")
 
     # one pass over f; every element is a strided view of it, packed
-    big = sequence_values(f, factor * n_final)
+    big = sequence_values(f, k**depth * n_final)
     order = _element_order(k, depth)
     packed = _pack_planes([big[r :: k**a][:n_final] for a, r in order], len(f.alphabet))
     del big

@@ -11,7 +11,6 @@ only.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,12 +75,6 @@ class SmoothTable:
 
     def values(self) -> tuple:
         return tuple(e.value for e in self.entries)
-
-    def locate(self, n: int) -> int:
-        """Index i of the interval [H_i, H_{i+1}) containing n, for 1 <= n <= limit."""
-        if n < 1 or n > self.limit:
-            raise RangeError(f"n = {n} outside table coverage [1, {self.limit}]")
-        return bisect_right(self.entries, n, key=lambda e: e.value) - 1
 
 
 def enumerate_smooth(limit: int) -> SmoothTable:

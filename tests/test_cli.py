@@ -107,6 +107,34 @@ def test_kernel_budget_is_a_range_error(capsys):
     assert err.count("\n") == 1
 
 
+def test_kernel_matrix_budget_is_a_range_error(capsys):
+    # a 1 MiB value table, but a 32767 x 32767 int64 matrix (8 GiB)
+    args = ["kernel", "--seq", "two-three", "--base", "2", "--depth", "14", "--nmax", "64"]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("range error: pairwise matrix") and "budget" in err
+    assert err.count("\n") == 1
+
+
+def test_fit_table_budget_is_a_range_error(capsys):
+    assert main(["periodic-fit", "--seq", "two-three", "--n", str(1 << 40)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("range error: value table") and "budget" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, n, q", [
+    (["periodic-fit", "--seq", "two-three", "--n", "10", "--qmax", "12"], 10, 11),
+    (["report", "--seq", "two-three", "--k", "2", "--l", "3", "--nmax", "32",
+      "--cp-first", "8", "--tau", "0.25"], 32, 33),
+])
+def test_period_longer_than_fitting_prefix_is_a_usage_error(capsys, argv, n, q):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: fitting prefix {n} shorter than period {q}\n"
+    assert "best" not in captured.out
+
+
 def test_expect_flag(tmp_path):
     args = ["shift", "--seq", "two-three", "--m", "1", "--nmax", "65536", "--tau", "0.002"]
     assert main(args + ["--expect", "equal"]) == 0
@@ -287,3 +315,8 @@ def test_first_checkpoint_below_one_is_a_usage_error(capsys):
                  "--cp-first", "0"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all("first checkpoint must be >= 1" in line for line in err)
+    # the clamp of first to last leaves the last checkpoint to be checked
+    assert main(["periodic-fit", "--seq", "run-parity", "--q", "2", "--n", "0"]) == 2
+    assert main(args[:-1] + ["0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: last checkpoint must be >= 1, got 0"] * 2

@@ -7,12 +7,12 @@ import pytest
 
 from asymauto import (
     Checkpoints,
+    RangeError,
     Verdict,
     cobham_report,
     enumerate_smooth,
     multiplicatively_independent,
     periodic,
-    periodic_fit,
     periodic_fit_sweep,
     seq_run_parity,
     seq_sqrt_parity,
@@ -55,7 +55,7 @@ def test_shift_invariance_sqrt_parity():
 
 
 def test_periodic_fit_exact_recovery():
-    fit = periodic_fit(periodic([0, 1, 1]), 3, 1 << 12)
+    (fit,) = periodic_fit_sweep(periodic([0, 1, 1]), [3], 1 << 12)
     assert fit.symbols == (0, 1, 1)
     assert fit.profile.counts[-1] == 0
     assert fit.min_margin == 1.0
@@ -63,14 +63,14 @@ def test_periodic_fit_exact_recovery():
 
 
 def test_periodic_fit_two_three_resists():
-    fits = periodic_fit_sweep(two_three(), 16, 1 << 16, CPS16)
+    fits = periodic_fit_sweep(two_three(), range(1, 17), 1 << 16, CPS16)
     assert min(p.fit_fraction for p in fits) >= 0.1
     assert all(p.verdict is Verdict.DISTINCT for p in fits)
 
 
 def test_periodic_fit_sqrt_parity_single_residue():
     n = 10**4
-    fit = periodic_fit(seq_sqrt_parity(), 1, n, Checkpoints.geometric(1 << 8, n))
+    (fit,) = periodic_fit_sweep(seq_sqrt_parity(), [1], n, Checkpoints.geometric(1 << 8, n))
     # exact count oracle: minority share of the two parities on [0, n)
     odd = sum(math.isqrt(i) & 1 for i in range(n))
     assert fit.profile.counts[-1] == min(odd, n - odd)
@@ -83,7 +83,7 @@ def test_majority_fit_is_pointwise_optimal():
     for f in (seq_run_parity(), periodic([0, 1, 1, 0, 1])):
         table = sequence_values(f, n)
         for q in range(1, 5):
-            fit = periodic_fit(f, q, n, Checkpoints((n,)))
+            (fit,) = periodic_fit_sweep(f, [q], n, Checkpoints((n,)))
             fit_count = fit.profile.counts[-1]
             residues = np.arange(n) % q
             for cand in itertools.product((0, 1), repeat=q):
@@ -103,7 +103,7 @@ def test_fit_sweep_matches_residue_loop(n_sym):
     f = periodic(period.tolist())
     fit_n, cps = 5003, Checkpoints((1000, 5003, 7919))
     values = [int(period[n % 997]) for n in range(cps.final)]
-    for q, fit in zip(range(1, 65), periodic_fit_sweep(f, 64, fit_n, cps)):
+    for q, fit in zip(range(1, 65), periodic_fit_sweep(f, range(1, 65), fit_n, cps)):
         symbols, margins = majority_by_residue_loop(values[:fit_n], q)
         got_symbols, got_margins = _majority_fit(np.array(values[:fit_n], dtype=np.uint8), q, n_sym)
         assert got_symbols.tolist() == symbols and got_margins.tolist() == margins, q
@@ -114,7 +114,7 @@ def test_fit_sweep_matches_residue_loop(n_sym):
 
 def test_fit_fraction_capped_by_alphabet():
     for q in (1, 2, 5):
-        fit = periodic_fit(seq_run_parity(), q, 1 << 14)
+        (fit,) = periodic_fit_sweep(seq_run_parity(), [q], 1 << 14)
         assert fit.fit_fraction <= 1 - 1 / 2
 
 
@@ -130,7 +130,7 @@ def test_shift_telescoping_bound():
 
 def test_exactly_periodic_fixed_points():
     f = periodic([0, 1, 0, 1, 1])
-    fit = periodic_fit(f, 5, 1 << 12)
+    (fit,) = periodic_fit_sweep(f, [5], 1 << 12)
     assert fit.profile.counts[-1] == 0
     res = shift_invariance(f, 5, CPS16)
     assert all(c == 0 for c in res.profile.counts)
@@ -209,9 +209,29 @@ def test_report_exploratory_base_runs():
 
 
 def test_fits_csv_shape():
-    fits = periodic_fit_sweep(periodic([0, 1]), 3, 1 << 10)
+    fits = periodic_fit_sweep(periodic([0, 1]), range(1, 4), 1 << 10)
     text = fits_to_csv(fits)
     lines = text.strip().split("\n")
     assert lines[0].startswith("q,fraction_at_")
     assert lines[0].endswith(",min_margin")
     assert len(lines) == 4
+
+
+def test_sweep_rejects_periods_longer_than_the_prefix():
+    # a residue class with no position in the prefix would have a 0/0 margin
+    with pytest.raises(ValueError, match="fitting prefix 10 shorter than period 11"):
+        periodic_fit_sweep(periodic([0, 1]), range(1, 13), 10)
+    with pytest.raises(ValueError, match="period must be >= 1, got 0"):
+        periodic_fit_sweep(periodic([0, 1]), [0], 10)
+    with pytest.raises(ValueError, match="no period"):
+        periodic_fit_sweep(periodic([0, 1]), range(1, 1), 10)
+    (fit,) = periodic_fit_sweep(periodic([0, 1]), [10], 10, Checkpoints((10,)))
+    assert fit.min_margin == 1.0
+
+
+def test_sweep_table_checked_against_the_budget():
+    # 2**40 bytes of value table: refused before anything is evaluated
+    with pytest.raises(RangeError, match="budget"):
+        periodic_fit_sweep(two_three(), [1], 1 << 40)
+    with pytest.raises(RangeError, match="budget"):
+        sequence_values(two_three(), (1 << 31) + 1)

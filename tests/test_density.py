@@ -54,11 +54,11 @@ def test_checkpoints_validation():
 
 
 def test_geometric_rejects_first_below_one():
-    # v *= ratio never passes `last` from 0 or below, so these once looped forever
+    # v *= 2 never passes `last` from 0 or below, so these once looped forever
     for first in (0, -3):
         with pytest.raises(ValueError, match="first checkpoint must be >= 1"):
             Checkpoints.geometric(first, 100)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="last checkpoint must be >= 1, got 0"):
         Checkpoints.geometric(1024, 0)
 
 
@@ -125,6 +125,38 @@ def test_counts_chunking_invariance(monkeypatch):
     assert discrepancy_profile(f, g, cps).counts == base
     monkeypatch.setenv("ASYMAUTO_THREADS", "2")
     assert discrepancy_profile(f, g, cps).counts == base
+
+
+class _Sentinel(Exception):
+    pass
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_prefix_scan_streams_its_spans(monkeypatch, threads):
+    # 2**44 spans to 2**62: a list of them would never finish; the stream stops
+    # at the first chunk's error, with at most one chunk per worker started
+    monkeypatch.setattr(density_mod.os, "cpu_count", lambda: 2)
+    if threads is None:
+        monkeypatch.delenv("ASYMAUTO_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("ASYMAUTO_THREADS", threads)
+    calls = []
+
+    def count_chunk(lo, hi):
+        calls.append(lo)
+        if len(calls) == 1:
+            raise _Sentinel
+        return 0
+
+    with pytest.raises(_Sentinel):
+        density_mod._chunked_prefix_counts(count_chunk, Checkpoints((1 << 62,)))
+    assert len(calls) <= density_mod._workers()
+
+    f = seq_run_parity()
+    monkeypatch.setattr(density_mod, "_SCAN_CHUNK", 997)
+    cps = Checkpoints((1000, 3000, 77777))
+    want = tuple(int(np.count_nonzero(_max_run_u64(np.arange(n, dtype=np.uint64)) & 1)) for n in cps)
+    assert density_estimate(f, cps).counts == want
 
 
 def test_triangle_inequality():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import asymauto.kernel as kernel_mod
 from asymauto import (
     Checkpoints,
     RangeError,
@@ -173,3 +174,17 @@ def test_kernel_budget_checked_before_allocating():
     # 3**12 * 2**20 bytes would be materialised: refused, not attempted
     with pytest.raises(RangeError, match="budget"):
         cluster_kernel(two_three(), 3, 12, Checkpoints.geometric(1 << 10, 1 << 20), 0.25)
+    # 2**12 * 2**20 bytes of value table beside a 512 MiB matrix: the table is refused
+    with pytest.raises(RangeError, match="value table.*budget"):
+        cluster_kernel(two_three(), 2, 12, Checkpoints.geometric(1 << 10, 1 << 20), 0.25)
+
+
+def test_kernel_matrix_checked_before_allocating(monkeypatch):
+    # 2**15 - 1 elements need an 8 GiB int64 matrix, though their table is 1 MiB
+    def refuse(*args):
+        raise AssertionError("built before the budget check")
+
+    monkeypatch.setattr(kernel_mod, "sequence_values", refuse)
+    monkeypatch.setattr(kernel_mod, "_element_order", refuse)
+    with pytest.raises(RangeError, match="pairwise matrix of the 32767 kernel elements.*budget"):
+        cluster_kernel(two_three(), 2, 14, Checkpoints((64,)), 0.25)

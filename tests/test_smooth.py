@@ -40,17 +40,6 @@ def test_closure_under_doubling_and_tripling():
             assert 3 * v in values
 
 
-def test_locate():
-    table = enumerate_smooth(1 << 22)
-    assert table.locate(5) == 3
-    assert table.locate(1) == 0
-    assert table[table.locate(12)].value == 12
-    with pytest.raises(RangeError):
-        table.locate(0)
-    with pytest.raises(RangeError):
-        table.locate(table.limit + 1)
-
-
 def test_ratio_profile_windows():
     table = SmoothTable.first(1100)
     head = ratio_profile(table, 0, 4)
