@@ -313,16 +313,16 @@ def check_sqrt_parity_separation():
 
 def check_periodic_fits():
     f = _two_three()
-    fits = periodic_fit_sweep(f, range(1, 65), 1 << 20, _CPS_20)
+    fits = periodic_fit_sweep(f, range(1, 65), _CPS_20)
     worst = min(p.fit_fraction for p in fits)
     if worst < 0.1:
         return False, f"some period q <= 64 fits two-three with fraction {worst:.4f} < 0.1"
     g = periodic([0, 1, 1])
-    (fit3,) = periodic_fit_sweep(g, [3], 1 << 12)
+    (fit3,) = periodic_fit_sweep(g, [3], Checkpoints.geometric(1 << 10, 1 << 12))
     if fit3.symbols != (0, 1, 1) or fit3.profile.counts[-1] != 0:
         return False, "periodic([0,1,1]) not recovered exactly at q=3"
     h = seq_sqrt_parity()
-    (fit1,) = periodic_fit_sweep(h, [1], 10**6, _CPS_1E6)
+    (fit1,) = periodic_fit_sweep(h, [1], _CPS_1E6)
     if abs(fit1.fit_fraction - 0.5) > 0.01:
         return False, f"sqrt-parity q=1 discrepancy {fit1.fit_fraction:.4f} not within 0.01 of 0.5"
     return True, (
@@ -467,32 +467,34 @@ def run_criteria(ids=None):
 
 
 def run_verify(outdir: Path, ids=None, echo=print) -> int:
-    """Print one line per criterion, write data outputs, return the exit code."""
+    """Print each criterion's lines, write them and the data outputs, return the exit code."""
     results = run_criteria(ids)
     by_criterion: dict = {}
     for sc, passed, detail, elapsed in results:
         by_criterion.setdefault(sc.criterion, []).append((sc, passed, detail, elapsed))
 
     all_ok = True
-    summary_lines = []
+    lines = []  # echoed as they are made, then kept in results.txt
+
+    def say(line):
+        echo(line)
+        lines.append(line)
+
     for cid, items in by_criterion.items():
         ok = all(passed for _, passed, _, _ in items)
         known = any(sc.known_defect and not passed for sc, passed, _, _ in items)
         took = sum(elapsed for _, _, _, elapsed in items)
         status = "PASS" if ok else ("FAIL (known defect, see notes)" if known else "FAIL")
         title = CRITERION_TITLES.get(cid, "")
-        echo(f"{status:<30} criterion {cid:>2}  {title}  [{took:.1f}s]")
+        say(f"{status:<30} criterion {cid:>2}  {title}  [{took:.1f}s]")
         for sc, passed, detail, _ in items:
-            echo(f"    {'ok' if passed else 'NO'}  {sc.title}: {detail}")
-        summary_lines.append(f"{'PASS' if ok else 'FAIL'} criterion {cid} {title}")
-        for sc, passed, detail, _ in items:
-            summary_lines.append(f"  {'ok' if passed else 'NO'} {sc.title}: {detail}")
+            say(f"    {'ok' if passed else 'NO'}  {sc.title}: {detail}")
         all_ok = all_ok and ok
 
     if ids is None or "13" in ids:
         write_verify_outputs(outdir)
         Path(outdir, "results.txt").write_text(
-            "\n".join(summary_lines) + "\n", encoding="utf-8", newline="\n"
+            "\n".join(lines) + "\n", encoding="utf-8", newline="\n"
         )
         echo(f"data outputs written to {outdir}")
     return 0 if all_ok else 1

@@ -354,7 +354,7 @@ def _cmd_periodic_fit(args) -> int:
     else:
         periods = range(1, (args.qmax if args.qmax is not None else DEFAULT_MAX_PERIOD) + 1)
     cps = Checkpoints.geometric(args.cp_first, args.n)
-    fits = periodic_fit_sweep(f, periods, args.n, cps, _policy(args))
+    fits = periodic_fit_sweep(f, periods, cps, _policy(args))
     for p in fits:
         print(
             f"q={p.period}: fit fraction={p.fit_fraction:.6g} "

@@ -25,7 +25,7 @@ from .density import (
     verdict,
 )
 from .kernel import KernelQuotient, cluster_kernel, default_depth
-from .seqlib import Sequence, periodic, shift
+from .seqlib import Sequence, shift
 
 DEFAULT_MAX_SHIFT = 8
 DEFAULT_MAX_PERIOD = 64
@@ -55,10 +55,9 @@ def shift_invariance(
 
 @dataclass(frozen=True)
 class PeriodicFit:
-    """Majority-vote period-q approximant of a sequence on a fitting prefix."""
+    """Majority-vote period-q approximant of a sequence on [0, N_final), profiled."""
 
     period: int
-    fit_n: int
     symbols: tuple  # fitted symbol index per residue class
     labels: tuple  # same, rendered through the alphabet
     margins: tuple  # per-residue (top - runner_up) / residue_count
@@ -72,47 +71,38 @@ class PeriodicFit:
     @property
     def fit_fraction(self) -> float:
         """Disagreement fraction on the fitting prefix itself."""
-        for n, c in zip(self.profile.checkpoints, self.profile.counts):
-            if n == self.fit_n:
-                return c / n
-        raise ValueError("fitting prefix not among profile checkpoints")
+        return self.profile.fractions[-1]
 
 
-def _majority_fit(table: np.ndarray, q: int, n_sym: int):
-    """Per-residue majority symbols and margins over the whole table."""
-    n = len(table)
-    rows = n // q
-    # key residue * n_sym + symbol, counted over the (rows, q) prefix and the tail
-    keys = np.arange(q, dtype=np.intp) * n_sym
-    counts = np.bincount(
-        (table[: rows * q].reshape(rows, q) + keys).ravel(), minlength=q * n_sym
-    )
-    counts += np.bincount(table[rows * q :] + keys[: n - rows * q], minlength=q * n_sym)
-    counts = counts.reshape(q, n_sym)
-    symbols = counts.argmax(axis=1)  # ties resolve to the smallest index
-    top = counts[np.arange(q), symbols]
-    masked = counts.copy()
-    masked[np.arange(q), symbols] = -1
-    runner = masked.max(axis=1) if n_sym > 1 else np.zeros(q, dtype=np.int64)
-    runner = np.maximum(runner, 0)
-    totals = counts.sum(axis=1)
-    margins = (top - runner) / totals
-    return symbols, margins
-
-
-def _fit_from_table(f, table, q, fit_n, cps, policy) -> PeriodicFit:
+def _fit(f: Sequence, table: np.ndarray, q: int, cps: Checkpoints, policy) -> PeriodicFit:
     n_sym = len(f.alphabet)
-    symbols, margins = _majority_fit(table[:fit_n], q, n_sym)
-    approx = periodic(symbols.tolist())
-    periods = -(-cps.final // q)
-    mism = table[: cps.final] != np.tile(symbols.astype(np.uint8), periods)[: cps.final]
-    counts = prefix_counts(mism, cps)
-    profile = DiscrepancyProfile(f.name, approx.name, cps, counts)
+    keys = np.arange(q, dtype=np.intp) * n_sym  # residue r counts symbol s at r * n_sym + s
+
+    def count(lo, hi):
+        """(residue, symbol) counts on [lo, hi), over its (rows, q) view and the tail."""
+        span_keys = np.roll(keys, -(lo % q))
+        end = lo + (hi - lo) // q * q
+        rows = table[lo:end].reshape(-1, q)
+        counts = np.bincount((rows + span_keys).ravel(), minlength=q * n_sym)
+        return counts + np.bincount(table[end:hi] + span_keys[: hi - end], minlength=q * n_sym)
+
+    counts = prefix_counts(count, cps)
+    final = counts[-1].reshape(q, n_sym)
+    symbols = final.argmax(axis=1)  # ties resolve to the smallest index
+    ranked = np.sort(final, axis=1)
+    runner = ranked[:, -2] if n_sym > 1 else 0
+    margins = (ranked[:, -1] - runner) / final.sum(axis=1)
+    agree = keys + symbols
+    profile = DiscrepancyProfile(
+        f.name,
+        "periodic:" + ",".join(str(s) for s in symbols),
+        cps,
+        tuple(n - int(c[agree].sum()) for n, c in zip(cps, counts)),
+    )
     # verdicts need three checkpoints of decay evidence
     v = verdict(profile, policy) if len(cps) >= 3 else Verdict.INCONCLUSIVE
     return PeriodicFit(
         period=q,
-        fit_n=fit_n,
         symbols=tuple(int(s) for s in symbols),
         labels=tuple(f.alphabet[int(s)] for s in symbols),
         margins=tuple(float(m) for m in margins),
@@ -124,25 +114,22 @@ def _fit_from_table(f, table, q, fit_n, cps, policy) -> PeriodicFit:
 def periodic_fit_sweep(
     f: Sequence,
     periods,
-    fit_n: int,
-    cps: Checkpoints | None = None,
+    cps: Checkpoints,
     policy: VerdictPolicy = VerdictPolicy(),
 ) -> list:
-    """The best period-q approximant on [0, fit_n) for each q in periods, profiled.
+    """The best period-q approximant on [0, cps.final) for each q in periods, profiled at cps.
 
-    periods is a list or range; f is scanned once for all of them.
+    periods is a list or range; f is evaluated once for all of them.
     """
     if not periods:
         raise ValueError("no period to fit")
     for q in periods:
         if q < 1:
             raise ValueError(f"period must be >= 1, got {q}")
-        if fit_n < q:
-            raise ValueError(f"fitting prefix {fit_n} shorter than period {q}")
-    if cps is None:
-        cps = Checkpoints.geometric(1 << 10, fit_n)
-    table = sequence_values(f, max(fit_n, cps.final))
-    return [_fit_from_table(f, table, q, fit_n, cps, policy) for q in periods]
+        if cps.final < q:
+            raise ValueError(f"fitting prefix {cps.final} shorter than period {q}")
+    table = sequence_values(f, cps.final)
+    return [_fit(f, table, q, cps, policy) for q in periods]
 
 
 def multiplicatively_independent(k: int, l: int) -> bool:
@@ -290,7 +277,7 @@ def cobham_report(
     shifts = tuple(
         shift_invariance(f, m, cps, policy) for m in range(1, max_shift + 1)
     )
-    fits = tuple(periodic_fit_sweep(f, range(1, max_period + 1), cps.final, cps, policy))
+    fits = tuple(periodic_fit_sweep(f, range(1, max_period + 1), cps, policy))
 
     indep = multiplicatively_independent(k, l)
     stable = quotient_k.finiteness == "stable" and quotient_l.finiteness == "stable"

@@ -93,53 +93,45 @@ class Checkpoints:
         return len(self.values)
 
 
-def _span_counts(count_chunk, spans):
-    """(hi, count_chunk(lo, hi)) for each span, in order, at most one chunk per worker in flight."""
-    workers = _workers()
-    if workers == 1:
-        for lo, hi in spans:
-            yield hi, count_chunk(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        for lo, hi in spans:
-            pending.append((hi, pool.submit(count_chunk, lo, hi)))
-            if len(pending) == workers:
-                done_hi, done = pending.popleft()
-                yield done_hi, done.result()
-        for done_hi, done in pending:
-            yield done_hi, done.result()
+def prefix_counts(count, cps: Checkpoints) -> tuple:
+    """Cumulative count(0, n) for each checkpoint n, calling count(prev, n) once per span.
 
-
-def _chunked_prefix_counts(count_chunk, cps: Checkpoints) -> tuple:
-    """Cumulative counts at each checkpoint; count_chunk(lo, hi) is exact.
-
-    The spans are made as the scan reaches them, so memory does not grow with N.
+    Counts may be ints or numpy arrays; each checkpoint gets its own total.
     """
-    ends = tuple(cps)
-    spans = (
-        (lo, min(lo + _SCAN_CHUNK, n))
-        for prev, n in zip((0,) + ends, ends)
-        for lo in range(prev, n, _SCAN_CHUNK)
-    )
-    counts = []
-    total = 0
-    for hi, count in _span_counts(count_chunk, spans):
-        total += count
-        if hi == ends[len(counts)]:
-            counts.append(total)
-    return tuple(counts)
-
-
-def prefix_counts(mism: np.ndarray, cps: Checkpoints) -> tuple:
-    """Nonzero entries of mism[:n] for each checkpoint n, in one pass over mism."""
     counts = []
     total = prev = 0
     for n in cps:
-        total += int(np.count_nonzero(mism[prev:n]))
+        total = total + count(prev, n)  # not +=, which would share one array
         counts.append(total)
         prev = n
     return tuple(counts)
+
+
+def _chunked_prefix_counts(count_chunk, cps: Checkpoints) -> tuple:
+    """`prefix_counts` of count_chunk summed over chunks of at most _SCAN_CHUNK.
+
+    The chunks are made as the scan reaches them, so memory does not grow
+    with N; with a pool, at most one chunk per worker is in flight.
+    """
+
+    def chunks(lo, hi):
+        return ((a, min(a + _SCAN_CHUNK, hi)) for a in range(lo, hi, _SCAN_CHUNK))
+
+    workers = _workers()
+    if workers == 1:
+        return prefix_counts(lambda lo, hi: sum(count_chunk(a, b) for a, b in chunks(lo, hi)), cps)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+
+        def pooled_sum(lo, hi):
+            total = 0
+            pending = deque()
+            for a, b in chunks(lo, hi):
+                pending.append(pool.submit(count_chunk, a, b))
+                if len(pending) == workers:
+                    total += pending.popleft().result()
+            return total + sum(done.result() for done in pending)
+
+        return prefix_counts(pooled_sum, cps)
 
 
 def sequence_values(f: Sequence, n: int) -> np.ndarray:
@@ -360,8 +352,11 @@ def union_density_experiment(
         )
     if gamma < 0 or nu < 1:
         raise ValueError(f"need gamma >= 0 and nu >= 1, got gamma={gamma}, nu={nu}")
+    what = f"union bitset of k**nu = {k}**{nu}"
+    if nu >= _BUDGET.bit_length():  # k**nu >= 2**nu is over: refuse before the power
+        raise RangeError(f"{what}: at least 2**{nu} bits exceed the budget of {_BUDGET} bits")
     total = k**nu
-    check_budget(total, "bits", f"union bitset of k**nu = {k}**{nu}")
+    check_budget(total, "bits", what)
 
     bits = np.zeros((total + 7) // 8, dtype=np.uint8)
     low = k**delta

@@ -171,7 +171,7 @@ def cluster_kernel(
     for i, er in enumerate(order):
         differ = _differ(packed[i], packed[reps[assignment[i]]])
         mism = np.unpackbits(differ.view(np.uint8), count=n_final, bitorder="little")
-        profiles[er] = prefix_counts(mism, cps)
+        profiles[er] = prefix_counts(lambda lo, hi: int(np.count_nonzero(mism[lo:hi])), cps)
 
     return KernelQuotient(
         source=f.name,

@@ -98,6 +98,13 @@ def test_exit_codes(tmp_path):
     assert main([]) == 2
 
 
+def test_union_budget_refused_in_one_line(capsys):
+    # 4**10000 has more digits than int-to-str conversion allows
+    assert main(["union-density", "--k", "4", "--m", "1", "--gamma", "6", "--nu", "10000"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("range error: ") and "budget" in err
+
+
 def test_kernel_budget_is_a_range_error(capsys):
     # 3**12 * 2**20 values would be materialised; refused before allocating
     args = ["kernel", "--seq", "two-three", "--base", "3", "--depth", "12", "--nmax", "1048576"]
@@ -221,6 +228,15 @@ def test_verify_subset(tmp_path):
     rc = main(["verify", "--criteria", "3,7", "--out", str(tmp_path / "vout")])
     assert rc == 0
     assert not (tmp_path / "vout").exists()  # outputs accompany full runs only
+
+
+def test_verify_results_are_the_echoed_lines(tmp_path, capsys):
+    out = tmp_path / "vout"
+    assert main(["verify", "--criteria", "7,13", "--out", str(out)]) == 0
+    echoed = capsys.readouterr().out.splitlines()
+    assert echoed[-1] == f"data outputs written to {out}"
+    assert (out / "results.txt").read_text(encoding="utf-8").splitlines() == echoed[:-1]
+    assert echoed[0].startswith("PASS") and echoed[0].endswith("s]")
 
 
 def test_stdout_determinism(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from asymauto import (
     sequence_values,
     shift_invariance,
 )
-from asymauto.cobham import _majority_fit, fits_to_csv
+from asymauto.cobham import fits_to_csv
 
 from helpers import majority_by_residue_loop
 
@@ -55,7 +56,7 @@ def test_shift_invariance_sqrt_parity():
 
 
 def test_periodic_fit_exact_recovery():
-    (fit,) = periodic_fit_sweep(periodic([0, 1, 1]), [3], 1 << 12)
+    (fit,) = periodic_fit_sweep(periodic([0, 1, 1]), [3], Checkpoints.geometric(1 << 10, 1 << 12))
     assert fit.symbols == (0, 1, 1)
     assert fit.profile.counts[-1] == 0
     assert fit.min_margin == 1.0
@@ -63,14 +64,14 @@ def test_periodic_fit_exact_recovery():
 
 
 def test_periodic_fit_two_three_resists():
-    fits = periodic_fit_sweep(two_three(), range(1, 17), 1 << 16, CPS16)
+    fits = periodic_fit_sweep(two_three(), range(1, 17), CPS16)
     assert min(p.fit_fraction for p in fits) >= 0.1
     assert all(p.verdict is Verdict.DISTINCT for p in fits)
 
 
 def test_periodic_fit_sqrt_parity_single_residue():
     n = 10**4
-    (fit,) = periodic_fit_sweep(seq_sqrt_parity(), [1], n, Checkpoints.geometric(1 << 8, n))
+    (fit,) = periodic_fit_sweep(seq_sqrt_parity(), [1], Checkpoints.geometric(1 << 8, n))
     # exact count oracle: minority share of the two parities on [0, n)
     odd = sum(math.isqrt(i) & 1 for i in range(n))
     assert fit.profile.counts[-1] == min(odd, n - odd)
@@ -83,7 +84,7 @@ def test_majority_fit_is_pointwise_optimal():
     for f in (seq_run_parity(), periodic([0, 1, 1, 0, 1])):
         table = sequence_values(f, n)
         for q in range(1, 5):
-            (fit,) = periodic_fit_sweep(f, [q], n, Checkpoints((n,)))
+            (fit,) = periodic_fit_sweep(f, [q], Checkpoints((n,)))
             fit_count = fit.profile.counts[-1]
             residues = np.arange(n) % q
             for cand in itertools.product((0, 1), repeat=q):
@@ -94,27 +95,41 @@ def test_majority_fit_is_pointwise_optimal():
 
 @pytest.mark.parametrize("n_sym", [2, 3, 5])
 def test_fit_sweep_matches_residue_loop(n_sym):
-    # a random period-997 sequence; 5003 and 7919 are divisible by no q <= 64
-    # except 1, and fitting on a shorter prefix than the last checkpoint
-    # profiles the fitted symbols past it
+    # a random period-997 sequence, fitted on all of [0, 7919); the spans start
+    # at 1000 and the prime 5003, off a multiple of most q <= 64, so their
+    # residue keys are offset
     rng = np.random.default_rng(n_sym)
     period = rng.integers(0, n_sym, 997)
     period[:n_sym] = np.arange(n_sym)
     f = periodic(period.tolist())
-    fit_n, cps = 5003, Checkpoints((1000, 5003, 7919))
+    cps = Checkpoints((1000, 5003, 7919))
     values = [int(period[n % 997]) for n in range(cps.final)]
-    for q, fit in zip(range(1, 65), periodic_fit_sweep(f, range(1, 65), fit_n, cps)):
-        symbols, margins = majority_by_residue_loop(values[:fit_n], q)
-        got_symbols, got_margins = _majority_fit(np.array(values[:fit_n], dtype=np.uint8), q, n_sym)
-        assert got_symbols.tolist() == symbols and got_margins.tolist() == margins, q
+    for q, fit in zip(range(1, 65), periodic_fit_sweep(f, range(1, 65), cps)):
+        symbols, margins = majority_by_residue_loop(values, q)
         assert fit.symbols == tuple(symbols) and fit.margins == tuple(margins), q
         want = tuple(sum(1 for i in range(m) if values[i] != symbols[i % q]) for m in cps)
         assert fit.profile.counts == want, q
 
 
+def test_fit_working_memory():
+    # the 1-byte value table plus one span's keys (the longest span is half
+    # the prefix): no per-period copy of the prefix
+    n = 1 << 20
+    cps = Checkpoints.geometric(1 << 10, n)
+    tracemalloc.start()
+    try:
+        fits = periodic_fit_sweep(periodic([0, 1, 1, 0, 1]), [1, 7, 64], cps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # q=1 votes 1; the zeros of 0,1,1,0,1 below n disagree
+    assert fits[0].profile.counts[-1] == 2 * (n // 5) + (n % 5 > 0) + (n % 5 > 3)
+    assert peak / n < 6, peak / n
+
+
 def test_fit_fraction_capped_by_alphabet():
     for q in (1, 2, 5):
-        (fit,) = periodic_fit_sweep(seq_run_parity(), [q], 1 << 14)
+        (fit,) = periodic_fit_sweep(seq_run_parity(), [q], Checkpoints.geometric(1 << 10, 1 << 14))
         assert fit.fit_fraction <= 1 - 1 / 2
 
 
@@ -130,7 +145,7 @@ def test_shift_telescoping_bound():
 
 def test_exactly_periodic_fixed_points():
     f = periodic([0, 1, 0, 1, 1])
-    (fit,) = periodic_fit_sweep(f, [5], 1 << 12)
+    (fit,) = periodic_fit_sweep(f, [5], Checkpoints.geometric(1 << 10, 1 << 12))
     assert fit.profile.counts[-1] == 0
     res = shift_invariance(f, 5, CPS16)
     assert all(c == 0 for c in res.profile.counts)
@@ -209,7 +224,7 @@ def test_report_exploratory_base_runs():
 
 
 def test_fits_csv_shape():
-    fits = periodic_fit_sweep(periodic([0, 1]), range(1, 4), 1 << 10)
+    fits = periodic_fit_sweep(periodic([0, 1]), range(1, 4), Checkpoints((1 << 10,)))
     text = fits_to_csv(fits)
     lines = text.strip().split("\n")
     assert lines[0].startswith("q,fraction_at_")
@@ -220,18 +235,18 @@ def test_fits_csv_shape():
 def test_sweep_rejects_periods_longer_than_the_prefix():
     # a residue class with no position in the prefix would have a 0/0 margin
     with pytest.raises(ValueError, match="fitting prefix 10 shorter than period 11"):
-        periodic_fit_sweep(periodic([0, 1]), range(1, 13), 10)
+        periodic_fit_sweep(periodic([0, 1]), range(1, 13), Checkpoints((10,)))
     with pytest.raises(ValueError, match="period must be >= 1, got 0"):
-        periodic_fit_sweep(periodic([0, 1]), [0], 10)
+        periodic_fit_sweep(periodic([0, 1]), [0], Checkpoints((10,)))
     with pytest.raises(ValueError, match="no period"):
-        periodic_fit_sweep(periodic([0, 1]), range(1, 1), 10)
-    (fit,) = periodic_fit_sweep(periodic([0, 1]), [10], 10, Checkpoints((10,)))
+        periodic_fit_sweep(periodic([0, 1]), range(1, 1), Checkpoints((10,)))
+    (fit,) = periodic_fit_sweep(periodic([0, 1]), [10], Checkpoints((10,)))
     assert fit.min_margin == 1.0
 
 
 def test_sweep_table_checked_against_the_budget():
     # 2**40 bytes of value table: refused before anything is evaluated
     with pytest.raises(RangeError, match="budget"):
-        periodic_fit_sweep(two_three(), [1], 1 << 40)
+        periodic_fit_sweep(two_three(), [1], Checkpoints((1 << 40,)))
     with pytest.raises(RangeError, match="budget"):
         sequence_values(two_three(), (1 << 31) + 1)

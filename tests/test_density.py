@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -240,8 +241,33 @@ def test_density_counts_the_label_one(tmp_path):
 def test_prefix_counts_one_pass():
     rng = np.random.default_rng(3)
     mism = rng.random(5000) < 0.3
+    symbols = rng.integers(0, 3, 5000)
     cps = Checkpoints((1, 63, 64, 1000, 4999, 5000))
-    assert prefix_counts(mism, cps) == tuple(int(mism[:n].sum()) for n in cps)
+    spans = []
+
+    def count_mism(lo, hi):
+        spans.append((lo, hi))
+        return int(np.count_nonzero(mism[lo:hi]))
+
+    assert prefix_counts(count_mism, cps) == tuple(int(mism[:n].sum()) for n in cps)
+    assert spans == list(zip((0,) + cps.values, cps.values))
+
+    def count_symbols(lo, hi):
+        return np.bincount(symbols[lo:hi], minlength=3)
+
+    want = [np.bincount(symbols[:n], minlength=3).tolist() for n in cps]
+    assert [c.tolist() for c in prefix_counts(count_symbols, cps)] == want
+
+    def accumulating_in_place(count, cps):
+        counts, total, prev = [], 0, 0
+        for n in cps:
+            total += count(prev, n)
+            counts.append(total)
+            prev = n
+        return counts
+
+    # with += every checkpoint after the first would hold the one final array
+    assert [c.tolist() for c in accumulating_in_place(count_symbols, cps)] != want
 
 
 def test_density_along_subsequence_even():
@@ -310,6 +336,21 @@ def test_union_rejects_unnormalized_inputs():
         union_density_experiment(4, 1, 2, 6, 6)
     with pytest.raises(RangeError):
         union_density_experiment(4, 1, 1, 6, 40)
+    with pytest.raises(RangeError, match="budget"):
+        union_density_experiment(3, 1, 1, 6, 20)
+
+
+def test_union_budget_refused_before_the_power():
+    # 4**(10**8) alone is 25 MB and takes seconds: 2**nu is over the budget,
+    # so nothing of that size may be built
+    tracemalloc.start()
+    try:
+        with pytest.raises(RangeError, match="at least 2\\*\\*100000000 bits exceed the budget"):
+            union_density_experiment(4, 1, 1, 6, 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_union_bound_is_exact_fraction_comparison():
