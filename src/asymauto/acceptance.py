@@ -28,6 +28,7 @@ from . import cli, smooth
 from .cobham import periodic_fit_sweep, shift_invariance
 from .density import (
     Checkpoints,
+    density_estimate,
     discrepancy_profile,
     union_density_experiment,
 )
@@ -43,6 +44,7 @@ from .seqlib import (
     max_run_recursive_table,
     periodic,
     seq_leading_prime,
+    seq_run_parity,
     seq_sqrt_parity,
     _leading_ones_u64,
     _max_run_u64,
@@ -139,11 +141,7 @@ def check_duplication_map():
 def check_run_parity_nonconstant():
     t0 = time.perf_counter()
     n = 3 * (1 << 22)
-    ones = 0
-    for lo in range(0, n, 1 << 20):
-        hi = min(lo + (1 << 20), n)
-        kap = _max_run_u64(np.arange(lo, hi, dtype=np.uint64))
-        ones += int(np.count_nonzero(kap & np.uint64(1)))
+    (ones,) = density_estimate(seq_run_parity(), Checkpoints((n,))).counts
     zeros = n - ones
     elapsed = time.perf_counter() - t0
     ok = ones >= n // 6 and zeros >= n // 6

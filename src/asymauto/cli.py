@@ -257,6 +257,7 @@ def _parse_range(text: str):
 def _cmd_eval(args) -> int:
     f = build_sequence(args.seq, args.smooth_limit)
     a, b = _parse_range(args.range)
+    density.check_budget(b - a, "bytes", f"value table of {f.name} on [{a}, {b})")
     labels = [f.alphabet[i] for i in f.values(a, b - a).tolist()]
     print(",".join(labels))
     if args.csv is not None:

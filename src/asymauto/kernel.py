@@ -82,12 +82,11 @@ class KernelQuotient:
 _XOR_WORDS = 1 << 21
 
 
-def _pack_planes(arrays: list, n_sym: int) -> np.ndarray:
-    """Bit p of every symbol index, 64 positions to a word: (elements, planes, words).
+def _pack_planes(arrays: list, planes: int) -> np.ndarray:
+    """Bit p < planes of every symbol index, 64 positions to a word: (elements, planes, words).
 
     Positions past the end stay 0 in every element, so they never differ.
     """
-    planes = max(1, (n_sym - 1).bit_length())
     n = len(arrays[0])
     packed = np.zeros((len(arrays), planes, -(-n // 64)), dtype="<u8")
     as_bytes = packed.view(np.uint8)
@@ -132,12 +131,15 @@ def cluster_kernel(
         raise ValueError(f"depth must be nonnegative, got {depth}")
     n_final = cps.final
     d = (k ** (depth + 1) - 1) // (k - 1)
-    check_budget(8 * d * d, "bytes", f"pairwise matrix of the {d} kernel elements to depth {depth}")
+    what = f"pairwise matrix of the {d} kernel elements to depth {depth}"
+    check_budget(8 * d * d, "bytes", what)
+    planes = max(1, (len(f.alphabet) - 1).bit_length())
+    check_budget(d * (d - 1) // 2 * planes * -(-n_final // 64), "word compares", what)
 
     # one pass over f; every element is a strided view of it, packed
     big = sequence_values(f, k**depth * n_final)
     order = _element_order(k, depth)
-    packed = _pack_planes([big[r :: k**a][:n_final] for a, r in order], len(f.alphabet))
+    packed = _pack_planes([big[r :: k**a][:n_final] for a, r in order], planes)
     del big
     matrix = _pairwise_counts(packed)
 

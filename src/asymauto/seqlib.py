@@ -8,10 +8,12 @@ scale; it checks the last term once against 2**63 and the leaf's coverage
 and calls `leaf(first, step, count)` once.  A leaf fills its block however
 its structure allows: two-three repeats the gap parities over run lengths,
 `file:` slices its table with a step, and the digit statistics and periodic
-sequences evaluate the uint64 progression from `_progression`.  Nothing here
-touches floating point (the integer square root is a pure-integer Newton
-iteration).  Sequences are immutable after construction and safe to share
-between threads; evaluation is pure.
+sequences evaluate the uint64 progression from `_progression` with
+whole-array word operations: a bit length is the popcount of the smeared
+word, and the integer square root is a Newton descent from above with no
+masks and no correction.  Nothing here touches floating point.  Sequences
+are immutable after construction and safe to share between threads;
+evaluation is pure.
 """
 
 from __future__ import annotations
@@ -34,33 +36,30 @@ def _check_index(n: int) -> None:
         raise RangeError(f"sequence index {n} exceeds the 2**63 range")
 
 
-def _bit_length_u64(x: np.ndarray) -> np.ndarray:
-    """Per-element bit length of a uint64 array."""
-    x = x.copy()
-    out = np.zeros(x.shape, dtype=np.uint64)
-    for s in (32, 16, 8, 4, 2, 1):
-        t = x >> np.uint64(s)
-        m = t != 0
-        out[m] += np.uint64(s)
-        x[m] = t[m]
-    out += x != 0
-    return out
+def _smear(x: np.ndarray) -> np.ndarray:
+    """2**bit_length - 1 per element of a uint64 array: every bit below the top one set."""
+    x = x | (x >> _U1)
+    for s in (2, 4, 8, 16, 32):
+        x |= x >> np.uint64(s)
+    return x
 
 
 def _isqrt_u64(x: np.ndarray) -> np.ndarray:
-    """Exact floor square root on uint64, integer Newton from above."""
+    """Exact floor square root on uint64 below 2**63, by integer Newton descent.
+
+    From 2**ceil(bit_length / 2) >= sqrt(x) it stops at floor(sqrt(x)); g + x // g < 2**64.
+    """
     x = np.asarray(x, dtype=np.uint64)
     work = np.maximum(x, _U1)
-    g = _U1 << ((_bit_length_u64(work) + _U1) >> _U1)
+    g = _U1 << ((np.bitwise_count(_smear(work)) + 1) >> 1)
     while True:
-        gn = (g + work // g) >> _U1
-        shrink = gn < g
-        if not shrink.any():
+        gn = work // g
+        gn += g
+        gn >>= _U1
+        np.minimum(gn, g, out=gn)
+        if np.array_equal(gn, g):
             break
-        g[shrink] = gn[shrink]
-    g[g * g > work] -= _U1
-    big = (g + _U1) * (g + _U1) <= work
-    g[big] += _U1
+        g = gn
     g[x == 0] = 0
     return g
 
@@ -79,9 +78,8 @@ def leading_ones(n: int) -> int:
 
 
 def _leading_ones_u64(x: np.ndarray) -> np.ndarray:
-    length = _bit_length_u64(x)
-    mask = (_U1 << length) - _U1
-    return length - _bit_length_u64(~x & mask)
+    mask = _smear(x)  # x ^ mask is ~x & mask: the zeros below the top bit
+    return np.bitwise_count(mask) - np.bitwise_count(_smear(x ^ mask))
 
 
 def max_run(n: int) -> int:
@@ -333,7 +331,7 @@ def seq_leading_prime() -> Sequence:
     """1 exactly when the count of leading binary 1s is prime."""
 
     def leaf(first, step, count):
-        return _PRIME_FLAGS[_leading_ones_u64(_progression(first, step, count)).astype(np.int64)]
+        return _PRIME_FLAGS[_leading_ones_u64(_progression(first, step, count))]
 
     return Sequence("leading-prime", ("0", "1"), leaf, _MAX_INDEX)
 

@@ -16,6 +16,7 @@ from asymauto.cli import (
     parse_expr,
 )
 from asymauto.errors import ExprError
+from asymauto.seqlib import Sequence
 
 
 def test_parse_examples():
@@ -112,6 +113,30 @@ def test_kernel_budget_is_a_range_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("range error: ") and "budget" in err
     assert err.count("\n") == 1
+
+
+def test_kernel_compare_work_budget_is_a_range_error(capsys):
+    # 1023 elements to depth 9 at the default 2**20: 8.6 * 10**9 word compares
+    assert main(["kernel", "--seq", "two-three", "--base", "2", "--depth", "9"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("range error: pairwise matrix") and "word compares exceed the budget" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--seq", "two-three", "--range", "0:10000000000"],
+    ["eval", "--seq", "sqrt-parity", "--range", "0:3000000000"],
+])
+def test_eval_budget_checked_before_evaluating(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("evaluated before the budget check")
+
+    monkeypatch.setattr(Sequence, "values", refuse)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("range error: value table") and "budget" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_kernel_matrix_budget_is_a_range_error(capsys):

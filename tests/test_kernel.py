@@ -174,9 +174,25 @@ def test_kernel_budget_checked_before_allocating():
     # 3**12 * 2**20 bytes would be materialised: refused, not attempted
     with pytest.raises(RangeError, match="budget"):
         cluster_kernel(two_three(), 3, 12, Checkpoints.geometric(1 << 10, 1 << 20), 0.25)
-    # 2**12 * 2**20 bytes of value table beside a 512 MiB matrix: the table is refused
-    with pytest.raises(RangeError, match="value table.*budget"):
+    # a 512 MiB matrix, but 8191 * 8190 / 2 pairs of 2**14 words: the compare work is refused
+    with pytest.raises(RangeError, match="8191 kernel elements.*word compares exceed the budget"):
         cluster_kernel(two_three(), 2, 12, Checkpoints.geometric(1 << 10, 1 << 20), 0.25)
+    # 3 elements and 10**8 word compares, but 2 * 2**31 bytes of value table: the table is refused
+    with pytest.raises(RangeError, match="value table.*budget"):
+        cluster_kernel(two_three(), 2, 1, Checkpoints((1 << 31,)), 0.25)
+
+
+def test_kernel_compare_work_checked_before_evaluating(monkeypatch):
+    # base 2 to depth 9 at 2**20: 1023 * 1022 / 2 pairs of 2**14 words, 4 * 2**31 compares
+    def refuse(*args):
+        raise AssertionError("evaluated before the budget check")
+
+    monkeypatch.setattr(kernel_mod, "sequence_values", refuse)
+    with pytest.raises(RangeError, match="1023 kernel elements.*word compares exceed the budget"):
+        cluster_kernel(two_three(), 2, 9, Checkpoints.geometric(1 << 10, 1 << 20), 0.25)
+    # depth 8 is inside it: 511 * 510 / 2 * 2**14 is 0.99 * 2**31
+    with pytest.raises(AssertionError, match="evaluated"):
+        cluster_kernel(two_three(), 2, 8, Checkpoints.geometric(1 << 10, 1 << 20), 0.25)
 
 
 def test_kernel_matrix_checked_before_allocating(monkeypatch):

@@ -40,6 +40,15 @@ def test_leading_ones_examples():
     assert leading_ones(123) == 4
     for m in range(1, 21):
         assert leading_ones(2**m - 1) == m
+    edges = {
+        e
+        for k in range(1, 64)
+        for e in (2**k - 1, 2**k, 2**k + 1, *((2**k - 1) << j for j in range(64 - k)))
+        if e < INT_LIMIT
+    }
+    edges = sorted(edges | {0})
+    got = _leading_ones_u64(np.array(edges, dtype=np.uint64))
+    assert got.tolist() == [leading_ones(e) for e in edges]
 
 
 def test_max_run_examples():
@@ -138,6 +147,11 @@ def test_isqrt_batch_exact():
     big = rng.integers(0, (1 << 63) - 1, size=4096, dtype=np.int64).astype(np.uint64)
     for n, s in zip(big.tolist(), _isqrt_u64(big).tolist()):
         assert s == math.isqrt(n)
+    roots = (1, 2, 3, 1 << 16, (1 << 31) - 1, 1 << 31, 3037000499)
+    edges = [r * r + e for r in roots for e in (-1, 0, 1) if r * r + e < INT_LIMIT]
+    edges.append(INT_LIMIT - 1)
+    got = _isqrt_u64(np.array(edges, dtype=np.uint64))
+    assert got.tolist() == [math.isqrt(e) for e in edges]
 
 
 def test_two_three_values_and_coverage():
