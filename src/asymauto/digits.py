@@ -5,13 +5,26 @@ canonical expansions never carry a leading zero.  All integer values are kept
 below 2**63: conversions that would leave that range raise RangeError instead
 of silently wrapping, because wrapped indices would corrupt density counts
 downstream.
+
+Expansion in bases up to 64 peels a chunk of digits per `divmod`, reading
+the chunk's digits from a table built once per base; `value` parses through
+`int(text, k)` for bases up to 36 and words of at most 640 digits.
 """
 
 from __future__ import annotations
 
+import functools
+import sys
+
 from .errors import RangeError
 
 INT_LIMIT = 1 << 63
+
+_DIGIT_CHARS = b"0123456789abcdefghijklmnopqrstuvwxyz"
+_TO_CHAR = bytes.maketrans(bytes(range(len(_DIGIT_CHARS))), _DIGIT_CHARS)
+_PARSE_MAX = sys.int_info.str_digits_check_threshold  # int(text, k) may refuse longer text
+_CHUNK_BASE_MAX = 64
+_CHUNK_LIMIT = 1 << 12
 
 
 class Word:
@@ -28,14 +41,6 @@ class Word:
                 raise ValueError(f"digit {d} out of range for base {base}")
         self.base = base
         self.digits = digits
-
-    @classmethod
-    def _trusted(cls, base: int, digits: tuple) -> "Word":
-        # fast path for canonical constructors; skips per-digit validation
-        w = object.__new__(cls)
-        w.base = base
-        w.digits = digits
-        return w
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -65,6 +70,14 @@ class Word:
         return f"Word(base={self.base}, '{self.text()}')"
 
 
+def _word(base: int, digits: tuple) -> Word:
+    # fast path for canonical constructors; skips per-digit validation
+    w = object.__new__(Word)
+    w.base = base
+    w.digits = digits
+    return w
+
+
 def expand(n: int, k: int) -> Word:
     """Canonical base-k expansion of n; 0 expands to the empty word."""
     if k < 2:
@@ -73,14 +86,43 @@ def expand(n: int, k: int) -> Word:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n >= INT_LIMIT:
         raise RangeError(f"n = {n} exceeds the 2**63 range")
-    if n == 0:
-        return Word._trusted(k, ())
+    return _word(k, _digits(n, k))
+
+
+def _digits(n: int, k: int) -> tuple:
+    """Canonical base-k digits of a nonnegative n, most significant first."""
+    if k <= _CHUNK_BASE_MAX:
+        size, padded, top = _chunk_table(k)
+        if n < size:
+            return top[n]
+        n, r = divmod(n, size)
+        digits = padded[r]
+        while n >= size:
+            n, r = divmod(n, size)
+            digits = padded[r] + digits
+        return top[n] + digits
     digits = []
     while n:
         n, d = divmod(n, k)
         digits.append(d)
     digits.reverse()
-    return Word._trusted(k, tuple(digits))
+    return tuple(digits)
+
+
+@functools.cache
+def _chunk_table(k: int):
+    """(k**m, padded, top) for the largest m with k**m <= _CHUNK_LIMIT.
+
+    padded[r] is the length-m expansion of r and top[r] its canonical one.
+    """
+    m = 1
+    while k ** (m + 1) <= _CHUNK_LIMIT:
+        m += 1
+    padded = [()]
+    for _ in range(m):
+        padded = [p + (d,) for p in padded for d in range(k)]
+    top = [p[next((i for i, d in enumerate(p) if d), m):] for p in padded]
+    return k**m, padded, top
 
 
 def expand_padded(n: int, k: int, alpha: int) -> Word:
@@ -91,21 +133,19 @@ def expand_padded(n: int, k: int, alpha: int) -> Word:
         raise ValueError(f"n must be nonnegative, got {n}")
     if alpha < 0:
         raise ValueError(f"length must be nonnegative, got {alpha}")
-    n %= k**alpha
-    digits = [0] * alpha
-    i = alpha - 1
-    while n:
-        n, digits[i] = divmod(n, k)
-        i -= 1
-    return Word._trusted(k, tuple(digits))
+    digits = _digits(n % k**alpha, k)
+    return _word(k, (0,) * (alpha - len(digits)) + digits)
 
 
 def value(u: Word) -> int:
     """The integer a word stands for; rejects results at or above 2**63."""
-    v = 0
     k = u.base
-    for d in u.digits:
-        v = v * k + d
+    if k <= 36 and 0 < len(u.digits) <= _PARSE_MAX:
+        v = int(bytes(u.digits).translate(_TO_CHAR), k)
+    else:
+        v = 0
+        for d in u.digits:
+            v = v * k + d
     if v >= INT_LIMIT:
         raise RangeError(f"word value {v} exceeds the 2**63 range")
     return v
@@ -115,4 +155,4 @@ def concat(u: Word, v: Word) -> Word:
     """Concatenation uv; both words must share a base."""
     if u.base != v.base:
         raise ValueError(f"base mismatch: {u.base} vs {v.base}")
-    return Word._trusted(u.base, u.digits + v.digits)
+    return _word(u.base, u.digits + v.digits)

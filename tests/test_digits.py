@@ -67,6 +67,44 @@ def test_padding_congruence(n, k, alpha):
     assert value(w) == n % k**alpha
 
 
+def _naive_digits(n, k):
+    digits = []
+    while n:
+        n, d = divmod(n, k)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
+@given(
+    st.one_of(
+        st.integers(0, INT_LIMIT - 1),
+        st.integers(1, 62).map(lambda e: 2**e),
+        st.integers(2, 65).flatmap(lambda k: st.integers(1, 20).map(lambda e: k**e - 1)),
+    ).filter(lambda n: n < INT_LIMIT),
+    st.one_of(st.integers(2, 70), st.integers(2, 10**12)),
+)
+def test_expand_and_value_match_naive_arithmetic(n, k):
+    """Chunked expansion and int() parsing agree with one divmod per digit."""
+    w = expand(n, k)
+    assert w.digits == _naive_digits(n, k)
+    assert value(w) == sum(d * k**i for i, d in enumerate(reversed(w.digits)))
+    assert expand_padded(n, k, len(w) + 3).digits == (0, 0, 0) + w.digits
+
+
+def test_value_of_long_padded_words():
+    assert value(expand_padded(5, 3, 5000)) == 5
+    assert value(expand_padded(2**62, 10, 700)) == 2**62
+    with pytest.raises(RangeError):
+        value(Word(3, (1,) * 700))
+
+
+def test_padded_keeps_values_beyond_the_integer_range():
+    w = expand_padded(INT_LIMIT + 5, 2, 70)
+    assert w.digits == (0,) * 6 + _naive_digits(INT_LIMIT + 5, 2)
+    with pytest.raises(RangeError):
+        value(w)
+
+
 @given(
     st.integers(2, 10),
     st.lists(st.integers(0, 9), max_size=9),
