@@ -258,7 +258,9 @@ def _cmd_eval(args) -> int:
     f = build_sequence(args.seq, args.smooth_limit)
     a, b = _parse_range(args.range)
     density.check_budget(b - a, "bytes", f"value table of {f.name} on [{a}, {b})")
-    labels = [f.alphabet[i] for i in f.values(a, b - a).tolist()]
+    if b > a:
+        f.values(b - 1, 1)  # past coverage or 2**63: fail at once, naming b - 1
+    labels = [f.alphabet[i] for i in density.sequence_values(f, b - a, a).tolist()]
     print(",".join(labels))
     if args.csv is not None:
         rows = ["n,value"] + [f"{n},{lab}" for n, lab in zip(range(a, b), labels)]

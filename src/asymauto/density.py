@@ -134,13 +134,17 @@ def _chunked_prefix_counts(count_chunk, cps: Checkpoints) -> tuple:
         return prefix_counts(pooled_sum, cps)
 
 
-def sequence_values(f: Sequence, n: int) -> np.ndarray:
-    """Value table of f on [0, n) as uint8, refused over the budget."""
-    check_budget(n, "bytes", f"value table of {f.name} on [0, {n})")
+def sequence_values(f: Sequence, n: int, start: int = 0) -> np.ndarray:
+    """Value table of f on [start, start + n) as uint8, refused over the budget.
+
+    It is filled in blocks of at most _SCAN_CHUNK terms, so a leaf's working
+    words never outgrow one block.
+    """
+    check_budget(n, "bytes", f"value table of {f.name} on [{start}, {start + n})")
     out = np.empty(n, dtype=np.uint8)
     for lo in range(0, n, _SCAN_CHUNK):
         hi = min(lo + _SCAN_CHUNK, n)
-        out[lo:hi] = f.values(lo, hi - lo)
+        out[lo:hi] = f.values(start + lo, hi - lo)
     return out
 
 

@@ -6,10 +6,15 @@ evaluation path, `values(start, count)`, reads count consecutive terms,
 which is the leaf progression first = scale * start + offset with stride
 scale; it checks the last term once against 2**63 and the leaf's coverage
 and calls `leaf(first, step, count)` once.  A leaf fills its block however
-its structure allows: two-three repeats the gap parities over run lengths,
-`file:` slices its table with a step, and the digit statistics and periodic
-sequences evaluate the uint64 progression from `_progression` with
-whole-array word operations: a bit length is the popcount of the smeared
+its structure allows.  The piecewise-constant leaves fill by run lengths
+through `_fill_runs`, one `np.repeat` over the runs between the breakpoints
+the block crosses: two-three between its 3-smooth numbers, leading-prime
+between the 2,016 numbers 2**a - 2**b below 2**63, and sqrt-parity between
+the squares, which it lists with `math.isqrt` (a block that crosses more
+squares than it has terms takes the per-term root instead).  `file:` slices
+its table with a step, and run-parity and periodic sequences evaluate the
+uint64 progression from `_progression` with whole-array word operations.
+Of the per-term statistics, a bit length is the popcount of the smeared
 word, and the integer square root is a Newton descent from above with no
 masks and no correction.  Nothing here touches floating point.  Sequences
 are immutable after construction and safe to share between threads;
@@ -18,6 +23,7 @@ evaluation is pure.
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -188,6 +194,23 @@ def _progression(first: int, step: int, count: int) -> np.ndarray:
     return ns
 
 
+def _fill_runs(breaks: np.ndarray, symbols: np.ndarray, first: int, step: int, count: int):
+    """The block at first, first + step, ... of the map symbols[i] on [breaks[i-1], breaks[i]).
+
+    `breaks` is sorted uint64 with one entry fewer than `symbols`: symbols[0]
+    holds below breaks[0] and the last symbol from the last break on.  The
+    terms before a breakpoint b inside the block number ceil((b - first) / step),
+    so the block is one `np.repeat` over as many runs as it crosses breakpoints.
+    """
+    top = first + step * (count - 1)
+    # uint64 needles: a Python int would promote the search to float64
+    i0 = int(np.searchsorted(breaks, np.uint64(first), side="right"))
+    i1 = int(np.searchsorted(breaks, np.uint64(top), side="right"))
+    ahead = breaks[i0:i1] - np.uint64(first) + np.uint64(step - 1)
+    before = (ahead // np.uint64(step)).astype(np.int64)
+    return np.repeat(symbols[i0 : i1 + 1], np.diff(before, prepend=0, append=count))
+
+
 class Sequence:
     """The map n -> leaf(scale * n + offset) into indices of a label alphabet.
 
@@ -294,12 +317,11 @@ def sequence_from_file(path) -> Sequence:
         labels = fh.read().splitlines()
     if not labels:
         raise ValueError(f"{path}: empty sequence file")
-    index = {}
-    for lab in labels:
-        index.setdefault(lab, len(index))
+    # dict keys keep first-appearance order: that order is the alphabet's
+    index = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
     name = f"file:{path}"
     _check_alphabet_size(name, len(index))
-    table = np.fromiter((index[lab] for lab in labels), dtype=np.uint8, count=len(labels))
+    table = np.fromiter(map(index.__getitem__, labels), dtype=np.uint8, count=len(labels))
 
     def leaf(first, step, count):
         return table[first : first + step * (count - 1) + 1 : step].copy()
@@ -326,12 +348,21 @@ def _is_prime_small(m: int) -> bool:
 # leading_ones(n) <= 63 for indices below 2**63
 _PRIME_FLAGS = np.array([_is_prime_small(i) for i in range(64)], dtype=np.uint8)
 
+# leading_ones is a - b from 2**a - 2**b up to the next of these 2,016 numbers
+# (0 <= b < a <= 63), and 0 below the first one, 1.  Listed by bit length a,
+# then by a - b = 1, ..., a, they increase; whole-array, not a Python loop,
+# since every import builds them
+_BIT_LENGTH = np.repeat(np.arange(1, 64, dtype=np.uint64), np.arange(1, 64))
+_ONES = np.arange(1, 2017, dtype=np.uint64) - _BIT_LENGTH * (_BIT_LENGTH - _U1) // np.uint64(2)
+_LEADING_BREAKS = (_U1 << _BIT_LENGTH) - (_U1 << (_BIT_LENGTH - _ONES))
+_LEADING_PRIME = _PRIME_FLAGS[np.append(np.uint64(0), _ONES)]
+
 
 def seq_leading_prime() -> Sequence:
     """1 exactly when the count of leading binary 1s is prime."""
 
     def leaf(first, step, count):
-        return _PRIME_FLAGS[_leading_ones_u64(_progression(first, step, count))]
+        return _fill_runs(_LEADING_BREAKS, _LEADING_PRIME, first, step, count)
 
     return Sequence("leading-prime", ("0", "1"), leaf, _MAX_INDEX)
 
@@ -346,10 +377,16 @@ def seq_run_parity() -> Sequence:
 
 
 def seq_sqrt_parity() -> Sequence:
-    """Parity of the integer square root."""
+    """Parity of the integer square root, constant on each [j**2, (j+1)**2)."""
 
     def leaf(first, step, count):
-        return (_isqrt_u64(_progression(first, step, count)) & _U1).astype(np.uint8)
+        lo, hi = math.isqrt(first), math.isqrt(first + step * (count - 1))
+        if hi - lo > count:
+            # more squares than terms: only when step exceeds about 2 * sqrt(first)
+            return (_isqrt_u64(_progression(first, step, count)) & _U1).astype(np.uint8)
+        roots = np.arange(lo, hi + 1, dtype=np.uint64)
+        squares = roots[1:] * roots[1:]
+        return _fill_runs(squares, (roots & _U1).astype(np.uint8), first, step, count)
 
     return Sequence("sqrt-parity", ("0", "1"), leaf, _MAX_INDEX)
 
@@ -364,18 +401,11 @@ def seq_two_three(table: SmoothTable) -> Sequence:
     """
     if table.limit >= INT_LIMIT:
         raise RangeError("table coverage exceeds the 2**63 index range")
-    values = np.array([e.value for e in table.entries], dtype=np.uint64)
+    # H_1, H_2, ...: the parity of H_0 = 1 holds below H_1, at 0 too
+    breaks = np.array([e.value for e in table.entries[1:]], dtype=np.uint64)
     parities = np.array([e.parity for e in table.entries], dtype=np.uint8)
 
     def leaf(first, step, count):
-        # gaps i0..i1 hold first and the last term; the terms before the
-        # breakpoint H_i number ceil((H_i - first) / step)
-        top = first + step * (count - 1)
-        i0 = max(int(np.searchsorted(values, first, side="right")) - 1, 0)
-        i1 = max(int(np.searchsorted(values, top, side="right")) - 1, 0)
-        ahead = values[i0 + 1 : i1 + 1] - np.uint64(first) + np.uint64(step - 1)
-        before = (ahead // np.uint64(step)).astype(np.int64)
-        runs = np.diff(before, prepend=0, append=count)
-        return np.repeat(parities[i0 : i1 + 1], runs)
+        return _fill_runs(breaks, parities, first, step, count)
 
     return Sequence(f"two-three[limit={table.limit}]", ("+1", "-1"), leaf, table.limit)

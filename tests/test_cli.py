@@ -4,7 +4,7 @@ import shlex
 
 import pytest
 
-from asymauto import acceptance
+from asymauto import acceptance, density
 from asymauto.acceptance import VERIFY_COMMANDS, write_verify_outputs
 from asymauto.cli import (
     CompressExpr,
@@ -97,6 +97,42 @@ def test_exit_codes(tmp_path):
     assert main(["--help"]) == 0
     assert main(["smooth", "--help"]) == 0
     assert main([]) == 2
+
+
+def spy_on_values(monkeypatch) -> list:
+    """Patch Sequence.values to record the count of every call."""
+    counts, real = [], Sequence.values
+
+    def spy(self, start, count):
+        counts.append(count)
+        return real(self, start, count)
+
+    monkeypatch.setattr(Sequence, "values", spy)
+    return counts
+
+
+def test_eval_fills_in_scan_chunks(capsys, monkeypatch, tmp_path):
+    argv = ["eval", "--seq", "compress:3:1:2:sqrt-parity", "--range", "1000:6000"]
+    assert main(argv + ["--csv", str(tmp_path / "whole.csv")]) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(density, "_SCAN_CHUNK", 997)
+    counts = spy_on_values(monkeypatch)
+    assert main(argv + ["--csv", str(tmp_path / "chunked.csv")]) == 0
+    assert max(counts) <= 997 and sum(counts) >= 5000
+    assert capsys.readouterr().out == whole
+    assert whole == ",".join(str(math.isqrt(3 * n + 2) & 1) for n in range(1000, 6000)) + "\n"
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_eval_past_coverage_fails_before_filling(capsys, monkeypatch):
+    # the error names the last index of the range, as one call on it would
+    monkeypatch.setattr(density, "_SCAN_CHUNK", 997)
+    counts = spy_on_values(monkeypatch)
+    argv = ["eval", "--seq", "two-three", "--range", "0:6000", "--smooth-limit", "5000"]
+    assert main(argv) == 3
+    assert counts == [1]
+    err = capsys.readouterr().err
+    assert "index 5999 reaches leaf index 5999, beyond coverage [0, 5000]" in err
 
 
 def test_union_budget_refused_in_one_line(capsys):

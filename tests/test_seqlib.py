@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from asymauto import (
     sequence_from_file,
     shift,
 )
-from asymauto.seqlib import _isqrt_u64, _leading_ones_u64, _max_run_u64
+from asymauto import seqlib
+from asymauto.seqlib import _fill_runs, _isqrt_u64, _leading_ones_u64, _max_run_u64
 
 from helpers import (
     leading_ones_by_string,
@@ -216,6 +218,101 @@ def test_two_three_run_length_fill_at_the_coverage_limit():
             ]
             with pytest.raises(CoverageError):
                 strided_block(f, k, a, first, count + 1)
+
+
+# ---------------------------------------------------------------------------
+# run-length fill: two-three, sqrt-parity and leading-prime repeat one symbol
+# per run between breakpoints
+# ---------------------------------------------------------------------------
+
+
+def test_two_three_exact_beside_the_largest_breakpoints(leaves):
+    # near 2**63 adjacent indices are not distinct as float64, so a search
+    # with a Python int needle would place H - 1 past the breakpoint H
+    f, naive, _ = leaves["two-three"]
+    top = enumerate_smooth(INT_LIMIT - 1).values()[-64:]
+    probes = [n for h in top for n in (h - 1, h, h + 1) if n < INT_LIMIT]
+    assert [f(n) for n in probes] == [naive(n) for n in probes]
+    assert max(top) > 2**53
+
+
+def block_at(f, first, step, count):
+    """f(first), f(first + step), ... read through compress, so the leaf sees stride step."""
+    if step == 1:
+        return f.values(first, count).tolist()
+    q, r = divmod(first, step)
+    return compress(f, step, 1, r).values(q, count).tolist()
+
+
+@st.composite
+def progressions(draw):
+    """(first, step, count) with the last term below 2**63, steps up to 2**62."""
+    count = draw(st.one_of(st.just(1), st.integers(1, 300)), label="count")
+    step = draw(st.one_of(st.integers(1, 1000), st.integers(1 << 32, 1 << 62)), label="step")
+    step = min(step, (INT_LIMIT - 1) // max(count - 1, 1))
+    span = step * (count - 1)
+    at_top = draw(st.booleans(), label="at_top")
+    first = INT_LIMIT - 1 - span if at_top else draw(st.integers(0, INT_LIMIT - 1 - span))
+    return first, step, count
+
+
+@given(st.sampled_from(["sqrt-parity", "leading-prime", "two-three"]), progressions())
+def test_run_fill_on_random_progressions(leaves, name, prog):
+    f, naive, _ = leaves[name]
+    first, step, count = prog
+    assert block_at(f, first, step, count) == [naive(first + i * step) for i in range(count)]
+
+
+@given(st.lists(st.integers(1, INT_LIMIT - 1), max_size=40), progressions())
+def test_fill_runs_against_bisect(points, prog):
+    # breakpoints on and beside the end terms too: above 2**53 float64 cannot
+    # tell them apart from the terms
+    first, step, count = prog
+    ends = (first, first + step * (count - 1))
+    near = {e + d for e in ends for d in (-1, 0, 1)}
+    points = sorted(p for p in set(points) | near if 0 < p < INT_LIMIT)
+    symbols = (np.arange(len(points) + 1) % 256).astype(np.uint8)
+    got = _fill_runs(np.array(points, dtype=np.uint64), symbols, first, step, count)
+    want = [bisect_right(points, first + i * step) % 256 for i in range(count)]
+    assert got.dtype == np.uint8 and got.tolist() == want
+
+
+@given(st.integers(2, 200), st.integers(0, 1 << 31), st.integers(0, 1))
+def test_sqrt_parity_fallback_boundary(count, root, extra):
+    # a block crossing count squares fills by runs; one more square and it
+    # takes the per-term Newton root instead
+    root = max(root, count)
+    span = count + extra
+    first, target = root * root, (root + span) ** 2
+    step = -(-(target - first) // (count - 1))
+    top = first + step * (count - 1)
+    assert math.isqrt(top) - root == span
+    calls = []
+
+    def spy(x):
+        calls.append(len(x))
+        return _isqrt_u64(x)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(seqlib, "_isqrt_u64", spy)
+        got = block_at(seq_sqrt_parity(), first, step, count)
+    assert got == [math.isqrt(first + i * step) & 1 for i in range(count)]
+    assert calls == ([count] if extra else [])
+
+
+@pytest.mark.parametrize("make, scale, naive", [
+    (seq_sqrt_parity, 1, sqrt_parity_naive),
+    (lambda: compress(seq_sqrt_parity(), 5, 1, 0), 5, sqrt_parity_naive),
+    (seq_leading_prime, 1, leading_prime_naive),
+])
+def test_run_fill_needs_no_per_term_statistics(monkeypatch, make, scale, naive):
+    def refuse(x):
+        raise AssertionError("per-term statistic on a run-length leaf")
+
+    monkeypatch.setattr(seqlib, "_isqrt_u64", refuse)
+    monkeypatch.setattr(seqlib, "_leading_ones_u64", refuse)
+    n = 1 << 18
+    assert make().values(0, n).tolist() == [naive(scale * i) for i in range(n)]
 
 
 def test_shift_behavior():
