@@ -13,8 +13,10 @@ data itself.  The only environment variable honored is ASYMAUTO_THREADS.
 from __future__ import annotations
 
 import argparse
+import itertools
 import shlex
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -207,13 +209,15 @@ def build_sequence(text: str, smooth_limit: int = DEFAULT_SMOOTH_LIMIT) -> Seque
 # ---------------------------------------------------------------------------
 
 
-def _emit(text: str, dest: str | None, meta: str) -> None:
-    """Write to stdout for '-', else to the path; metadata goes on a '#' line."""
-    payload = f"# {meta}\n{text}"
+def _emit(pieces, dest: str | None, meta: str) -> None:
+    """Write the '#' metadata line, then each text piece, to stdout for '-', else to dest."""
     if dest is None or dest == "-":
-        sys.stdout.write(payload)
+        target = nullcontext(sys.stdout)
     else:
-        Path(dest).write_text(payload, encoding="utf-8", newline="\n")
+        target = open(dest, "w", encoding="utf-8", newline="\n")
+    with target as out:
+        out.write(f"# {meta}\n")
+        out.writelines(pieces)
 
 
 def _meta(args) -> str:
@@ -260,11 +264,21 @@ def _cmd_eval(args) -> int:
     density.check_budget(b - a, "bytes", f"value table of {f.name} on [{a}, {b})")
     if b > a:
         f.values(b - 1, 1)  # past coverage or 2**63: fail at once, naming b - 1
-    labels = [f.alphabet[i] for i in density.sequence_values(f, b - a, a).tolist()]
-    print(",".join(labels))
+
+    def label_blocks():
+        # one block of labels at a time, so memory stays within one scan chunk
+        for lo, block in density.value_blocks(f, b - a, a):
+            yield a + lo, [f.alphabet[i] for i in block.tolist()]
+
+    for lo, labels in label_blocks():
+        sys.stdout.write(("," if lo > a else "") + ",".join(labels))
+    sys.stdout.write("\n")
     if args.csv is not None:
-        rows = ["n,value"] + [f"{n},{lab}" for n, lab in zip(range(a, b), labels)]
-        _emit("\n".join(rows) + "\n", args.csv, _meta(args))
+        rows = (
+            "".join(f"{n},{lab}\n" for n, lab in enumerate(labels, lo))
+            for lo, labels in label_blocks()
+        )
+        _emit(itertools.chain(["n,value\n"], rows), args.csv, _meta(args))
     return 0
 
 
@@ -275,7 +289,7 @@ def _cmd_smooth(args) -> int:
         table = smooth.enumerate_smooth(args.limit)
     print(f"entries: {len(table)}  last: {table[len(table) - 1].value}")
     if args.csv is not None:
-        _emit(smooth.table_to_csv(table), args.csv, _meta(args))
+        _emit([smooth.table_to_csv(table)], args.csv, _meta(args))
     if args.ratio_range:
         lo, hi = _parse_range(args.ratio_range)
         prof = smooth.ratio_profile(table, lo, hi)
@@ -296,7 +310,7 @@ def _cmd_smooth(args) -> int:
             f"ratio {d.numerator}/{d.denominator}"
         )
         if args.json is not None:
-            _emit(smooth.kronecker_to_json(gaps), args.json, _meta(args))
+            _emit([smooth.kronecker_to_json(gaps)], args.json, _meta(args))
     return 0
 
 
@@ -305,9 +319,9 @@ def _profile_output(args, profile, v) -> None:
         print(f"N={n}: count={c} fraction={fr:.6g}")
     print(f"verdict: {v.value}")
     if args.csv is not None:
-        _emit(profile.to_csv(), args.csv, _meta(args))
+        _emit([profile.to_csv()], args.csv, _meta(args))
     if args.json is not None:
-        _emit(profile.to_json(), args.json, _meta(args))
+        _emit([profile.to_json()], args.json, _meta(args))
 
 
 def _expect_exit(args, v) -> int:
@@ -346,7 +360,7 @@ def _cmd_kernel(args) -> int:
     for cid, c in enumerate(q.classes):
         print(f"  class {cid}: rep (alpha={c.rep[0]}, r={c.rep[1]}), members {len(c.members)}")
     if args.json is not None:
-        _emit(quotient_to_json(q, violations), args.json, _meta(args))
+        _emit([quotient_to_json(q, violations)], args.json, _meta(args))
     return 0
 
 
@@ -366,7 +380,7 @@ def _cmd_periodic_fit(args) -> int:
     best = min(fits, key=lambda p: p.fit_fraction)
     print(f"best: q={best.period} fraction={best.fit_fraction:.6g}")
     if args.csv is not None:
-        _emit(fits_to_csv(fits), args.csv, _meta(args))
+        _emit([fits_to_csv(fits)], args.csv, _meta(args))
     return 0
 
 
@@ -376,7 +390,7 @@ def _cmd_union_density(args) -> int:
     print(f"analytic floor: {float(res.bound):.6f} (p = {res.success_p})")
     print(f"exact fraction >= floor: {res.meets_bound}")
     if args.json is not None:
-        _emit(res.to_json(), args.json, _meta(args))
+        _emit([res.to_json()], args.json, _meta(args))
     return 0
 
 
@@ -396,7 +410,7 @@ def _cmd_report(args) -> int:
     )
     print(report.to_text(), end="")
     if args.json is not None:
-        _emit(report.to_json(), args.json, _meta(args))
+        _emit([report.to_json()], args.json, _meta(args))
     return 0
 
 

@@ -134,17 +134,22 @@ def _chunked_prefix_counts(count_chunk, cps: Checkpoints) -> tuple:
         return prefix_counts(pooled_sum, cps)
 
 
-def sequence_values(f: Sequence, n: int, start: int = 0) -> np.ndarray:
-    """Value table of f on [start, start + n) as uint8, refused over the budget.
+def value_blocks(f: Sequence, n: int, start: int = 0):
+    """f on [start, start + n) as (offset, uint8 block) pairs of at most _SCAN_CHUNK terms.
 
-    It is filled in blocks of at most _SCAN_CHUNK terms, so a leaf's working
-    words never outgrow one block.
+    Each block is evaluated when it is reached, so a leaf's working words
+    never outgrow one block.
     """
+    for lo in range(0, n, _SCAN_CHUNK):
+        yield lo, f.values(start + lo, min(_SCAN_CHUNK, n - lo))
+
+
+def sequence_values(f: Sequence, n: int, start: int = 0) -> np.ndarray:
+    """Value table of f on [start, start + n) as uint8, refused over the budget."""
     check_budget(n, "bytes", f"value table of {f.name} on [{start}, {start + n})")
     out = np.empty(n, dtype=np.uint8)
-    for lo in range(0, n, _SCAN_CHUNK):
-        hi = min(lo + _SCAN_CHUNK, n)
-        out[lo:hi] = f.values(start + lo, hi - lo)
+    for lo, block in value_blocks(f, n, start):
+        out[lo : lo + len(block)] = block
     return out
 
 

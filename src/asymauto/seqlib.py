@@ -11,18 +11,23 @@ through `_fill_runs`, one `np.repeat` over the runs between the breakpoints
 the block crosses: two-three between its 3-smooth numbers, leading-prime
 between the 2,016 numbers 2**a - 2**b below 2**63, and sqrt-parity between
 the squares, which it lists with `math.isqrt` (a block that crosses more
-squares than it has terms takes the per-term root instead).  `file:` slices
-its table with a step, and run-parity and periodic sequences evaluate the
-uint64 progression from `_progression` with whole-array word operations.
-Of the per-term statistics, a bit length is the popcount of the smeared
-word, and the integer square root is a Newton descent from above with no
-masks and no correction.  Nothing here touches floating point.  Sequences
-are immutable after construction and safe to share between threads;
-evaluation is pure.
+squares than it has terms takes the per-term root instead).  Run-parity
+splits n = 2**16 * h + l: max_run(n) = max(max_run(h), R[l], t(h) + L[l])
+with t(h) the trailing 1s of h and R, L the longest run and the leading 1s
+of the 16-bit window l, so a block that crosses fewer h than it has terms
+evaluates the h statistics once per h, fills them by runs and looks up l;
+other blocks, and periodic sequences, evaluate the uint64 progression from
+`_progression` with whole-array word operations.  `file:` slices its table
+with a step.  Of the per-term statistics, a bit length is the popcount of
+the smeared word, and the integer square root is a Newton descent from
+above with no masks and no correction.  Nothing here touches floating
+point.  Sequences are immutable after construction and safe to share
+between threads; evaluation is pure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -367,11 +372,50 @@ def seq_leading_prime() -> Sequence:
     return Sequence("leading-prime", ("0", "1"), leaf, _MAX_INDEX)
 
 
+_WINDOW = 16
+_LOW = (1 << _WINDOW) - 1
+
+
+@functools.cache
+def _window_tables():
+    """R[l] and L[l] over 16-bit words l: the longest 1-run and the leading 1s of the window.
+
+    Built on first use, so importing the package does not pay for them.
+    """
+    words = np.arange(1 << _WINDOW, dtype=np.uint64) | np.uint64(1 << _WINDOW)
+    leading = (_leading_ones_u64(words) - 1).astype(np.uint8)
+    return max_run_recursive_table(1 << _WINDOW), leading
+
+
 def seq_run_parity() -> Sequence:
-    """Parity of the longest block of consecutive binary 1s."""
+    """Parity of the longest block of consecutive binary 1s.
+
+    With n = 2**16 * h + l and t(h) the trailing 1s of h, max_run(n) is
+    max(max_run(h), R[l], t(h) + L[l]), R and L from `_window_tables`.  A
+    block that crosses fewer distinct h than it has terms (a step below
+    about 2**16) evaluates the two h statistics once per h, spreads them
+    with `_fill_runs` and gathers R and L at l; any other block runs
+    `_max_run_u64` on its progression.
+    """
 
     def leaf(first, step, count):
-        return (_max_run_u64(_progression(first, step, count)) & _U1).astype(np.uint8)
+        h0, h1 = first >> _WINDOW, (first + step * (count - 1)) >> _WINDOW
+        if h1 - h0 >= count:
+            return (_max_run_u64(_progression(first, step, count)) & _U1).astype(np.uint8)
+        hs = np.arange(h0, h1 + 1, dtype=np.uint64)
+        breaks = hs[1:] << np.uint64(_WINDOW)
+        run_h = _fill_runs(breaks, _max_run_u64(hs).astype(np.uint8), first, step, count)
+        trail_h = _fill_runs(breaks, np.bitwise_count(hs ^ (hs + _U1)) - 1, first, step, count)
+        # only the low 16 bits are kept, so wrapping mod 2**32 is harmless
+        low = np.arange(count, dtype=np.uint32)
+        low *= np.uint32(step & _LOW)
+        low += np.uint32(first & _LOW)
+        low &= np.uint32(_LOW)
+        runs, leading = _window_tables()
+        trail_h += leading[low]
+        np.maximum(run_h, runs[low], out=run_h)
+        np.maximum(run_h, trail_h, out=run_h)
+        return run_h & 1
 
     return Sequence("run-parity", ("0", "1"), leaf, _MAX_INDEX)
 

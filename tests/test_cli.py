@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import shlex
+import sys
 
 import pytest
 
@@ -111,6 +113,18 @@ def spy_on_values(monkeypatch) -> list:
     return counts
 
 
+class WriteRecorder(io.StringIO):
+    """A text stream that keeps every write apart."""
+
+    def __init__(self, writes: list):
+        super().__init__()
+        self.writes = writes
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
 def test_eval_fills_in_scan_chunks(capsys, monkeypatch, tmp_path):
     argv = ["eval", "--seq", "compress:3:1:2:sqrt-parity", "--range", "1000:6000"]
     assert main(argv + ["--csv", str(tmp_path / "whole.csv")]) == 0
@@ -122,6 +136,14 @@ def test_eval_fills_in_scan_chunks(capsys, monkeypatch, tmp_path):
     assert capsys.readouterr().out == whole
     assert whole == ",".join(str(math.isqrt(3 * n + 2) & 1) for n in range(1000, 6000)) + "\n"
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    # the labels and the CSV rows (here to stdout too) are written block by block
+    writes = []
+    monkeypatch.setattr(sys, "stdout", WriteRecorder(writes))
+    assert main(argv + ["--csv", "-"]) == 0
+    assert "".join(writes) == whole + (tmp_path / "whole.csv").read_text(encoding="utf-8")
+    head = next(i for i, w in enumerate(writes) if w.startswith("# asymauto eval"))
+    assert max(len(w.strip(",\n").split(",")) for w in writes[:head]) <= 997
+    assert max(w.count("\n") for w in writes[head + 1 :]) <= 997
 
 
 def test_eval_past_coverage_fails_before_filling(capsys, monkeypatch):

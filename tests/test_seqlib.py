@@ -315,6 +315,78 @@ def test_run_fill_needs_no_per_term_statistics(monkeypatch, make, scale, naive):
     assert make().values(0, n).tolist() == [naive(scale * i) for i in range(n)]
 
 
+# ---------------------------------------------------------------------------
+# run-parity by the 16-bit split: max_run(2**16 * h + l) is
+# max(max_run(h), R[l], t(h) + L[l]), t(h) the trailing 1s of h
+# ---------------------------------------------------------------------------
+
+SPLIT_STEPS = [1, 7, 65535, 65536, 65537, 1 << 20]
+
+
+def test_window_tables_match_the_word_statistics():
+    runs, leading = seqlib._window_tables()
+    words = np.arange(1 << 16, dtype=np.uint64)
+    assert runs.dtype == leading.dtype == np.uint8
+    assert np.array_equal(runs, _max_run_u64(words).astype(np.uint8))
+    assert leading.tolist() == [leading_ones(w | 1 << 16) - 1 for w in range(1 << 16)]
+
+
+@pytest.mark.parametrize("step", SPLIT_STEPS)
+@pytest.mark.parametrize("count", [1, 2, 1000])
+def test_run_parity_split_against_string_scan(step, count):
+    span = step * (count - 1)
+    mid = count // 2
+    # the block at 0 and the block ending on 2**63 - 1, where h = 2**47 - 1
+    starts = [0, INT_LIMIT - 1 - span]
+    # the middle term on l = 0 right after h = 2**j - 1: the terms before it
+    # join the j trailing 1s of h to the leading 1s of l (up to l = 0xFFFF)
+    starts += [max(0, (1 << (j + 16)) - mid * step) for j in (1, 5, 20, 46)]
+    starts += np.random.default_rng(step + count).integers(0, INT_LIMIT - span, 4).tolist()
+    f = seq_run_parity()
+    for first in starts:
+        ns = [first + i * step for i in range(count)]
+        want = [run_parity_naive(n) for n in ns]
+        assert want == [max_run(n) & 1 for n in ns]
+        assert block_at(f, first, step, count) == want, (first, step, count)
+
+
+@given(
+    st.data(),
+    st.one_of(st.sampled_from(SPLIT_STEPS), st.integers(1, 1 << 18)),
+    st.integers(0, 1 << 20),
+)
+def test_run_parity_split_through_shift_and_compress(data, step, m):
+    count = data.draw(st.integers(1, 2000), label="count")
+    first = data.draw(st.integers(m, INT_LIMIT - 1 - step * (count - 1)), label="first")
+    got = block_at(shift(seq_run_parity(), m), first - m, step, count)
+    assert got == [run_parity_naive(first + i * step) for i in range(count)]
+
+
+def test_run_parity_split_evaluates_each_h_once(monkeypatch):
+    # steps below 2**16 run the word loop on the distinct h = n >> 16 only;
+    # a step of 2**20 still runs it on every term
+    sizes, real = [], _max_run_u64
+
+    def spy(x):
+        sizes.append(len(x))
+        return real(x)
+
+    monkeypatch.setattr(seqlib, "_max_run_u64", spy)
+    f, n = seq_run_parity(), 1 << 18
+    want = [run_parity_naive(i) for i in range(n + 1)]
+    assert f.values(0, n).tolist() == want[:n]
+    assert shift(f, 1).values(0, n).tolist() == want[1:]
+    assert sizes and max(sizes) <= n // 2**16 + 2
+    sizes.clear()
+    strided = compress(f, 2, 20, 5).values(0, n)
+    assert sizes == [n]
+    assert strided[:64].tolist() == [run_parity_naive((i << 20) + 5) for i in range(64)]
+    # 0xFFFF and 0xFFFF + 65537 = 2**17 cross three h for two terms
+    sizes.clear()
+    assert block_at(f, 0xFFFF, 65537, 2) == [0, 1]
+    assert sizes == [2]
+
+
 def test_shift_behavior():
     f = seq_sqrt_parity()
     assert shift(f, 0) is f
