@@ -44,10 +44,13 @@ from .density import (
 from .kernel import (
     KernelClass,
     KernelQuotient,
+    KernelWords,
     LabelViolation,
     check_labeling_consistency,
     cluster_kernel,
+    cluster_words,
     enumerate_kernel,
+    kernel_words,
     label_word,
     quotient_to_json,
 )

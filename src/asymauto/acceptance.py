@@ -33,7 +33,7 @@ from .density import (
     union_density_experiment,
 )
 from .digits import expand, expand_padded, value
-from .kernel import check_labeling_consistency, cluster_kernel
+from .kernel import check_labeling_consistency, cluster_words, kernel_words
 from .seqlib import (
     Sequence,
     compress,
@@ -60,8 +60,14 @@ def _two_three() -> Sequence:
 
 
 @functools.cache
+def _kernel_words(seq_builder, base: int, depth: int):
+    """The tau-free part of a kernel quotient, built once for every tau it is clustered at."""
+    return kernel_words(seq_builder(), base, depth, _CPS_20)
+
+
+@functools.cache
 def _quotient(seq_builder, base: int, depth: int, tau: float):
-    return cluster_kernel(seq_builder(), base, depth, _CPS_20, tau)
+    return cluster_words(_kernel_words(seq_builder, base, depth), tau)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ sample.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,25 +75,54 @@ class PeriodicFit:
         return self.profile.fractions[-1]
 
 
-def _fit(f: Sequence, table: np.ndarray, q: int, cps: Checkpoints, policy) -> PeriodicFit:
-    n_sym = len(f.alphabet)
-    keys = np.arange(q, dtype=np.intp) * n_sym  # residue r counts symbol s at r * n_sym + s
+# (residue, symbol) slots one shared count may have when periods are merged
+# into a common modulus; a period alone may have more
+_FIT_KEYS = 1 << 12
+
+
+def _moduli(periods, n_sym: int) -> list:
+    """Moduli covering every period: each joins a modulus it divides, or merges into one.
+
+    Periods go from largest to smallest; a period merges into the first modulus
+    M with lcm(M, q) * n_sym <= _FIT_KEYS, else it starts a modulus of its own.
+    """
+    moduli: list = []
+    for q in sorted(set(periods), reverse=True):
+        if any(m % q == 0 for m in moduli):
+            continue
+        for i, m in enumerate(moduli):
+            if math.lcm(m, q) * n_sym <= _FIT_KEYS:
+                moduli[i] = math.lcm(m, q)
+                break
+        else:
+            moduli.append(q)
+    return moduli
+
+
+def _residue_counts(table: np.ndarray, m: int, n_sym: int, cps: Checkpoints) -> tuple:
+    """Cumulative (residue mod m, symbol) counts at each checkpoint, keyed r * n_sym + s."""
+    keys = np.arange(m, dtype=np.intp) * n_sym
 
     def count(lo, hi):
-        """(residue, symbol) counts on [lo, hi), over its (rows, q) view and the tail."""
-        span_keys = np.roll(keys, -(lo % q))
-        end = lo + (hi - lo) // q * q
-        rows = table[lo:end].reshape(-1, q)
-        counts = np.bincount((rows + span_keys).ravel(), minlength=q * n_sym)
-        return counts + np.bincount(table[end:hi] + span_keys[: hi - end], minlength=q * n_sym)
+        """Counts on [lo, hi), over its (rows, m) view and the tail."""
+        span_keys = np.roll(keys, -(lo % m))
+        end = lo + (hi - lo) // m * m
+        rows = table[lo:end].reshape(-1, m)
+        counts = np.bincount((rows + span_keys).ravel(), minlength=m * n_sym)
+        return counts + np.bincount(table[end:hi] + span_keys[: hi - end], minlength=m * n_sym)
 
-    counts = prefix_counts(count, cps)
+    return prefix_counts(count, cps)
+
+
+def _fit(f: Sequence, counts: tuple, q: int, cps: Checkpoints, policy) -> PeriodicFit:
+    """The period-q fit read off its cumulative (residue, symbol) counts at each checkpoint."""
+    n_sym = len(f.alphabet)
     final = counts[-1].reshape(q, n_sym)
     symbols = final.argmax(axis=1)  # ties resolve to the smallest index
     ranked = np.sort(final, axis=1)
     runner = ranked[:, -2] if n_sym > 1 else 0
     margins = (ranked[:, -1] - runner) / final.sum(axis=1)
-    agree = keys + symbols
+    agree = np.arange(q) * n_sym + symbols
     profile = DiscrepancyProfile(
         f.name,
         "periodic:" + ",".join(str(s) for s in symbols),
@@ -119,7 +149,9 @@ def periodic_fit_sweep(
 ) -> list:
     """The best period-q approximant on [0, cps.final) for each q in periods, profiled at cps.
 
-    periods is a list or range; f is evaluated once for all of them.
+    periods is a list or range; the result follows its order.  f is evaluated
+    once, and the periods share the counts of a few moduli: one (residue mod
+    M, symbol) count per modulus M, folded into each period that divides M.
     """
     if not periods:
         raise ValueError("no period to fit")
@@ -129,7 +161,16 @@ def periodic_fit_sweep(
         if cps.final < q:
             raise ValueError(f"fitting prefix {cps.final} shorter than period {q}")
     table = sequence_values(f, cps.final)
-    return [_fit(f, table, q, cps, policy) for q in periods]
+    n_sym = len(f.alphabet)
+    fits = {}
+    for m in _moduli(periods, n_sym):
+        counts = _residue_counts(table, m, n_sym, cps)
+        for q in set(periods) - fits.keys():
+            if m % q == 0:
+                folded = tuple(c.reshape(m // q, q * n_sym).sum(axis=0) for c in counts)
+                fits[q] = _fit(f, folded, q, cps, policy)
+        del counts
+    return [fits[q] for q in periods]
 
 
 def multiplicatively_independent(k: int, l: int) -> bool:

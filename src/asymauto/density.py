@@ -8,7 +8,8 @@ statement the package makes.  Scans run chunk by chunk over uint64 blocks and
 counts are additive over disjoint chunks, so an optional thread pool (size
 from ASYMAUTO_THREADS, at most the cpu count) changes nothing about result
 order or totals.  Every table the package builds (value tables, the kernel's
-pairwise matrix, the union bitset) is checked against one budget first.
+packed words and pairwise matrix, the union bitset) is checked against one
+budget first.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .seqlib import Sequence
 
 _SCAN_CHUNK = 1 << 18
 # the most any one table may take, checked before allocating: bytes of a value
-# table or of the kernel's pairwise matrix, bits of the union bitset
+# table or of the kernel's packed words or pairwise matrix, bits of the union bitset
 _BUDGET = 1 << 31
 
 

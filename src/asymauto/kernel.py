@@ -7,7 +7,9 @@ first-fit over a fixed order keeps results reproducible even though empirical
 discrepancy is only a pseudo-metric.  The full pairwise count matrix, which
 the clustering reads, is kept alongside for audit; it is computed on the bit
 planes of the symbol indices packed into uint64 words, so every alphabet size
-takes the same XOR, OR and popcount path.
+takes the same XOR, OR and popcount path.  The packed words and the matrix do
+not depend on tau (`kernel_words`), so one build serves clusterings at any
+number of thresholds (`cluster_words`).
 """
 
 from __future__ import annotations
@@ -78,22 +80,33 @@ class KernelQuotient:
         return "growing"
 
 
-# uint64 words one XOR step of the pairwise matrix holds (16 MiB)
-_XOR_WORDS = 1 << 21
+# uint64 words of one column tile of the pairwise matrix: all d rows of a tile
+# stay in cache while every pair is compared on it
+_TILE_WORDS = 1 << 10
 
 
-def _pack_planes(arrays: list, planes: int) -> np.ndarray:
-    """Bit p < planes of every symbol index, 64 positions to a word: (elements, planes, words).
+@dataclass(frozen=True)
+class KernelWords:
+    """The tau-free part of a kernel quotient: elements, packed bit planes, pairwise counts."""
+
+    source: str
+    base: int
+    depth: int
+    checkpoints: Checkpoints
+    order: list  # (alpha, r) of each element
+    packed: np.ndarray = field(repr=False)  # (elements, planes, words) uint64
+    matrix: np.ndarray = field(repr=False)  # pairwise counts at the final checkpoint
+
+
+def _pack_planes(v: np.ndarray, out: np.ndarray) -> None:
+    """Bit p of every symbol index into out[p], 64 positions to a word, LSB first.
 
     Positions past the end stay 0 in every element, so they never differ.
     """
-    n = len(arrays[0])
-    packed = np.zeros((len(arrays), planes, -(-n // 64)), dtype="<u8")
-    as_bytes = packed.view(np.uint8)
-    for i, v in enumerate(arrays):
-        for p in range(planes):
-            as_bytes[i, p, : -(-n // 8)] = np.packbits(v & (1 << p), bitorder="little")
-    return packed
+    as_bytes = out.view(np.uint8)
+    nbytes = -(-len(v) // 8)
+    for p in range(len(out)):
+        as_bytes[p, :nbytes] = np.packbits(v & (1 << p), bitorder="little")
 
 
 def _differ(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -102,29 +115,28 @@ def _differ(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _pairwise_counts(packed: np.ndarray) -> np.ndarray:
-    """Positions where two elements differ, by popcount of the differ words."""
-    d = len(packed)
+    """Positions where two elements differ, by popcount of the differ words, tile by tile."""
+    d, planes, words = packed.shape
     matrix = np.zeros((d, d), dtype=np.int64)
-    block = max(1, _XOR_WORDS // packed[0].size)  # rows XORed at once
+    for lo in range(0, words, _TILE_WORDS):
+        tile = np.ascontiguousarray(packed[..., lo : lo + _TILE_WORDS])
+        xor = np.empty_like(tile)
+        for i in range(d - 1):
+            x = np.bitwise_xor(tile[i + 1 :], tile[i], out=xor[i + 1 :])
+            differ = x[:, 0] if planes == 1 else np.bitwise_or.reduce(x, axis=1)
+            matrix[i, i + 1 :] += np.bitwise_count(differ).sum(axis=1, dtype=np.int64)
     for i in range(d - 1):
-        for lo in range(i + 1, d, block):
-            hi = min(lo + block, d)
-            counts = np.bitwise_count(_differ(packed[lo:hi], packed[i])).sum(axis=1, dtype=np.int64)
-            matrix[i, lo:hi] = counts
-            matrix[lo:hi, i] = counts
+        matrix[i + 1 :, i] = matrix[i, i + 1 :]
     return matrix
 
 
-def cluster_kernel(
-    f: Sequence,
-    k: int,
-    depth: int,
-    cps: Checkpoints,
-    tau: float,
-) -> KernelQuotient:
-    """Greedy first-fit clustering of the depth-bounded kernel of f."""
-    if not 0 < tau < 0.5:
-        raise ValueError(f"tau must be in (0, 1/2), got {tau}")
+def kernel_words(f: Sequence, k: int, depth: int, cps: Checkpoints) -> KernelWords:
+    """Every kernel element of f to depth on [0, cps.final), packed, and their pairwise counts.
+
+    Each element is read on its own and packed right away, so at most one
+    value table is alive at a time.  The matrix, the compare work and the
+    packed words are checked against the budget before anything is evaluated.
+    """
     if k < 2:
         raise ValueError(f"base must be >= 2, got {k}")
     if depth < 0:
@@ -134,15 +146,28 @@ def cluster_kernel(
     what = f"pairwise matrix of the {d} kernel elements to depth {depth}"
     check_budget(8 * d * d, "bytes", what)
     planes = max(1, (len(f.alphabet) - 1).bit_length())
-    check_budget(d * (d - 1) // 2 * planes * -(-n_final // 64), "word compares", what)
+    words = -(-n_final // 64)
+    check_budget(d * (d - 1) // 2 * planes * words, "word compares", what)
+    check_budget(8 * d * planes * words, "bytes",
+                 f"packed bit planes of the {d} kernel elements to depth {depth}")
 
-    # one pass over f; every element is a strided view of it, packed
-    big = sequence_values(f, k**depth * n_final)
     order = _element_order(k, depth)
-    packed = _pack_planes([big[r :: k**a][:n_final] for a, r in order], planes)
-    del big
-    matrix = _pairwise_counts(packed)
+    packed = np.zeros((d, planes, words), dtype="<u8")
+    for i, (a, r) in enumerate(order):
+        _pack_planes(sequence_values(compress(f, k, a, r), n_final), packed[i])
+    return KernelWords(f.name, k, depth, cps, order, packed, _pairwise_counts(packed))
 
+
+def _check_tau(tau: float) -> None:
+    if not 0 < tau < 0.5:
+        raise ValueError(f"tau must be in (0, 1/2), got {tau}")
+
+
+def cluster_words(kw: KernelWords, tau: float) -> KernelQuotient:
+    """Greedy first-fit clustering of the elements of kw at threshold tau * N_final."""
+    _check_tau(tau)
+    order, packed, matrix, cps = kw.order, kw.packed, kw.matrix, kw.checkpoints
+    n_final = cps.final
     threshold = tau * n_final
     reps: list = []  # indices into `order`/`packed`
     assignment: list = []
@@ -176,9 +201,9 @@ def cluster_kernel(
         profiles[er] = prefix_counts(lambda lo, hi: int(np.count_nonzero(mism[lo:hi])), cps)
 
     return KernelQuotient(
-        source=f.name,
-        base=k,
-        depth=depth,
+        source=kw.source,
+        base=kw.base,
+        depth=kw.depth,
         tau=tau,
         checkpoints=cps,
         classes=classes,
@@ -187,6 +212,18 @@ def cluster_kernel(
         matrix=matrix,
         classes_by_depth=tuple(classes_by_depth),
     )
+
+
+def cluster_kernel(
+    f: Sequence,
+    k: int,
+    depth: int,
+    cps: Checkpoints,
+    tau: float,
+) -> KernelQuotient:
+    """Greedy first-fit clustering of the depth-bounded kernel of f."""
+    _check_tau(tau)
+    return cluster_words(kernel_words(f, k, depth, cps), tau)
 
 
 def label_word(q: KernelQuotient, u: Word) -> int:

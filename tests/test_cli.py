@@ -1,11 +1,16 @@
 import io
 import json
 import math
+import os
+import resource
 import shlex
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import asymauto
 from asymauto import acceptance, density
 from asymauto.acceptance import VERIFY_COMMANDS, write_verify_outputs
 from asymauto.cli import (
@@ -146,6 +151,42 @@ def test_eval_fills_in_scan_chunks(capsys, monkeypatch, tmp_path):
     assert max(w.count("\n") for w in writes[head + 1 :]) <= 997
 
 
+def _eval_in_child(count: int) -> tuple:
+    """`eval --seq sqrt-parity --range 0:count` in a child under a 2 GB address-space limit.
+
+    Returns (exit code, stdout bytes, first stdout block, peak RSS in bytes) of that child
+    alone, read with wait4, not the pooled RUSAGE_CHILDREN.
+    """
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(asymauto.__file__).parents[1]))
+    env.pop("ASYMAUTO_THREADS", None)
+    argv = [sys.executable, "-m", "asymauto.cli", "eval", "--seq", "sqrt-parity",
+            "--range", f"0:{count}"]
+    child = subprocess.Popen(argv, stdout=subprocess.PIPE, env=env, preexec_fn=limit)
+    head = child.stdout.read(1 << 16)
+    size = len(head)
+    while block := child.stdout.read(1 << 20):
+        size += len(block)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return child.returncode, size, head, usage.ru_maxrss * 1024  # ru_maxrss is in KiB
+
+
+def test_eval_memory_stays_near_one_block():
+    # 2 * 10**7 values: a whole-range table plus its text would be 2 * 10**7 + 4 * 10**7 bytes
+    n = 20_000_000
+    code, size, head, peak = _eval_in_child(n)
+    assert code == 0
+    assert size == 2 * n  # one label and one comma or newline per value
+    assert head.startswith(b"0,1,1,1,0,0,0,0,0,1,1,1,1,1,1,1,0,")
+    # the same command on 2000 values: the interpreter, numpy and the package
+    small_code, _, _, base = _eval_in_child(2000)
+    assert small_code == 0
+    assert peak - base < (n + 2 * n) // 4, (peak, base)
+
+
 def test_eval_past_coverage_fails_before_filling(capsys, monkeypatch):
     # the error names the last index of the range, as one call on it would
     monkeypatch.setattr(density, "_SCAN_CHUNK", 997)
@@ -165,7 +206,7 @@ def test_union_budget_refused_in_one_line(capsys):
 
 
 def test_kernel_budget_is_a_range_error(capsys):
-    # 3**12 * 2**20 values would be materialised; refused before allocating
+    # 797161 elements to depth 12 need a 5 * 10**12-byte matrix; refused before allocating
     args = ["kernel", "--seq", "two-three", "--base", "3", "--depth", "12", "--nmax", "1048576"]
     assert main(args) == 3
     err = capsys.readouterr().err

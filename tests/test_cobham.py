@@ -104,11 +104,16 @@ def test_fit_sweep_matches_residue_loop(n_sym):
     f = periodic(period.tolist())
     cps = Checkpoints((1000, 5003, 7919))
     values = [int(period[n % 997]) for n in range(cps.final)]
-    for q, fit in zip(range(1, 65), periodic_fit_sweep(f, range(1, 65), cps)):
-        symbols, margins = majority_by_residue_loop(values, q)
-        assert fit.symbols == tuple(symbols) and fit.margins == tuple(margins), q
-        want = tuple(sum(1 for i in range(m) if values[i] != symbols[i % q]) for m in cps)
-        assert fit.profile.counts == want, q
+    # a range, and an unsorted list with a duplicate: 64 and 12 share a modulus,
+    # 35 has no multiple in the list, 7, 5 and 1 divide a modulus already chosen
+    for periods in (range(1, 65), [64, 35, 5, 7, 12, 12, 1]):
+        fits = periodic_fit_sweep(f, periods, cps)
+        assert [fit.period for fit in fits] == list(periods)
+        for q, fit in zip(periods, fits):
+            symbols, margins = majority_by_residue_loop(values, q)
+            assert fit.symbols == tuple(symbols) and fit.margins == tuple(margins), q
+            want = tuple(sum(1 for i in range(m) if values[i] != symbols[i % q]) for m in cps)
+            assert fit.profile.counts == want, q
 
 
 def test_fit_working_memory():

@@ -130,11 +130,17 @@ def test_quotient_json_roundtrip():
 
 
 @pytest.mark.parametrize("n_sym", [1, 2, 3, 5, 256])
-@pytest.mark.parametrize("k,depth", [(2, 3), (3, 2)])
-def test_packed_matrix_and_profiles_match_direct_counts(tmp_path, n_sym, k, depth):
-    # 1 to 8 bit planes, N = 1237 is not a multiple of 64; two noisy
-    # alternating patterns make classes with nonzero profiles
-    cps = Checkpoints((100, 640, 1237))
+@pytest.mark.parametrize("k,depth,cps", [
+    # N = 1237 is not a multiple of 64
+    pytest.param(2, 3, Checkpoints((100, 640, 1237)), id="2-3"),
+    pytest.param(3, 2, Checkpoints((100, 640, 1237)), id="3-2"),
+    # N = 70001 positions are 1094 words: one full 1024-word tile of the matrix
+    # and a ragged one of 70
+    pytest.param(2, 2, Checkpoints((1000, 65536, 70001)), id="2-2-ragged-tile"),
+])
+def test_packed_matrix_and_profiles_match_direct_counts(tmp_path, n_sym, k, depth, cps):
+    # 1 to 8 bit planes; two noisy alternating patterns make classes with
+    # nonzero profiles
     n = cps.final
     rng = np.random.default_rng(n_sym * 10 + k)
     size = k**depth * n
@@ -170,16 +176,22 @@ def test_packed_matrix_and_profiles_match_direct_counts(tmp_path, n_sym, k, dept
     assert any(counts[-1] for counts in q.profiles.values()) is (n_sym > 1)
 
 
-def test_kernel_budget_checked_before_allocating():
-    # 3**12 * 2**20 bytes would be materialised: refused, not attempted
-    with pytest.raises(RangeError, match="budget"):
+def test_kernel_budget_checked_before_allocating(monkeypatch):
+    # 797161 elements to base 3, depth 12 need a 5 * 10**12-byte matrix: refused, not attempted
+    with pytest.raises(RangeError, match="797161 kernel elements.*budget"):
         cluster_kernel(two_three(), 3, 12, Checkpoints.geometric(1 << 10, 1 << 20), 0.25)
     # a 512 MiB matrix, but 8191 * 8190 / 2 pairs of 2**14 words: the compare work is refused
     with pytest.raises(RangeError, match="8191 kernel elements.*word compares exceed the budget"):
         cluster_kernel(two_three(), 2, 12, Checkpoints.geometric(1 << 10, 1 << 20), 0.25)
-    # 3 elements and 10**8 word compares, but 2 * 2**31 bytes of value table: the table is refused
-    with pytest.raises(RangeError, match="value table.*budget"):
-        cluster_kernel(two_three(), 2, 1, Checkpoints((1 << 31,)), 0.25)
+
+    # 3 elements and 3 * 2**27 word compares, but 3 * 2**30 bytes of packed words:
+    # the packed words are refused before any element is read
+    def refuse(*args):
+        raise AssertionError("evaluated before the budget check")
+
+    monkeypatch.setattr(kernel_mod, "sequence_values", refuse)
+    with pytest.raises(RangeError, match="packed bit planes of the 3 kernel elements.*budget"):
+        cluster_kernel(two_three(), 2, 1, Checkpoints((1 << 33,)), 0.25)
 
 
 def test_kernel_compare_work_checked_before_evaluating(monkeypatch):

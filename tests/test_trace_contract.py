@@ -42,4 +42,6 @@ def test_tracer_counts_a_report(capsys):
     assert metrics["cobham.fits_n"] == 64
     # 1 + 2 + 4 + 8 + 16 elements in base 2 (depth 4), 1 + 3 + 9 + 27 in base 3 (depth 3)
     assert metrics["kernel.elements_n"] == 71
+    # each kernel element is read on its own: one materialize span per element
+    assert sum(s.name == "kernel.materialize" for s in tracer.spans) == 71
     assert not hasattr(cli.cobham_report, "__wrapped__")  # the originals are back
