@@ -7,7 +7,7 @@ e.g. `shift:1:two-three` or `compress:2:1:0:run-parity`.  `periodic:` and
 Exit codes: 0 success, 1 verdict/acceptance failure, 2 usage or parse error,
 3 range/overflow error.  Data outputs are byte-identical across reruns with
 identical flags; run metadata sits on '#'-prefixed header lines, never in the
-data itself.  The only environment variable honored is ASYMAUTO_THREADS.
+data itself.  No environment variable is read.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def _parse(text: str, pos: int):
         end = _expect_colon(text, end)
         r_at = end
         r, end = _take_int(text, end, "residue")
-        if r >= k**alpha:
+        if alpha < 63 and r >= k**alpha:  # compress refuses alpha >= 63 before the power
             raise ExprError(f"residue {r} >= {k}**{alpha}", r_at)
         end = _expect_colon(text, end)
         inner, end = _parse(text, end)
@@ -298,7 +298,11 @@ def _cmd_smooth(args) -> int:
             f" = {prof.decimal!r} at i={prof.argmax}"
         )
     if args.kronecker is not None:
-        gaps = smooth.kronecker_gap(Fraction(args.kronecker))
+        try:
+            t = Fraction(args.kronecker)
+        except ZeroDivisionError:
+            raise ValueError(f"tolerance {args.kronecker!r} has a zero denominator") from None
+        gaps = smooth.kronecker_gap(t)
         g = gaps.smallest_gamma
         d = gaps.smallest_delta
         print(
@@ -418,8 +422,11 @@ def _cmd_verify(args) -> int:
     from . import acceptance
 
     ids = None
-    if args.criteria:
+    if args.criteria is not None:
         ids = [c.strip() for c in args.criteria.split(",") if c.strip()]
+        if not ids or not set(ids) <= acceptance.CRITERION_TITLES.keys():
+            known = ", ".join(acceptance.CRITERION_TITLES)
+            raise ValueError(f"--criteria takes ids among {known}, got {args.criteria!r}")
     return acceptance.run_verify(Path(args.out), ids=ids)
 
 

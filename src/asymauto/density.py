@@ -4,10 +4,9 @@ Everything here is an exact count at explicit finite checkpoints; nothing
 claims a limit.  One type holds such counts, `DiscrepancyProfile`: the
 disagreements of two sequences, or the ones of an indicator (a density
 estimate).  A profile plus a declared verdict policy is the strongest
-statement the package makes.  Scans run chunk by chunk over uint64 blocks and
-counts are additive over disjoint chunks, so an optional thread pool (size
-from ASYMAUTO_THREADS, at most the cpu count) changes nothing about result
-order or totals.  Every table the package builds (value tables, the kernel's
+statement the package makes.  Every count at checkpoints is summed by one
+serial scan, `prefix_counts`, chunk by chunk, so its working memory does not
+grow with N.  Every table the package builds (value tables, the kernel's
 packed words and pairwise matrix, the union bitset) is checked against one
 budget first.
 """
@@ -16,9 +15,6 @@ from __future__ import annotations
 
 import enum
 import json
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,15 +33,6 @@ def check_budget(size: int, unit: str, what: str) -> None:
     """RangeError when `what` needs more than the budget; call it before allocating."""
     if size > _BUDGET:
         raise RangeError(f"{what}: {size} {unit} exceed the budget of {_BUDGET} {unit}")
-
-
-def _workers() -> int:
-    """Threads of the scan pool: ASYMAUTO_THREADS, clamped to [1, cpu count]."""
-    try:
-        wanted = int(os.environ.get("ASYMAUTO_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, min(wanted, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -95,44 +82,20 @@ class Checkpoints:
 
 
 def prefix_counts(count, cps: Checkpoints) -> tuple:
-    """Cumulative count(0, n) for each checkpoint n, calling count(prev, n) once per span.
+    """Cumulative count(0, n) for each checkpoint n, scanned in chunks of at most _SCAN_CHUNK.
 
-    Counts may be ints or numpy arrays; each checkpoint gets its own total.
+    Each span between checkpoints is cut into chunks made as the scan reaches
+    them, and count(lo, hi) is called once per chunk, so memory does not grow
+    with N.  Counts may be ints or numpy arrays; each checkpoint gets its own total.
     """
     counts = []
     total = prev = 0
     for n in cps:
-        total = total + count(prev, n)  # not +=, which would share one array
+        for lo in range(prev, n, _SCAN_CHUNK):
+            total = total + count(lo, min(lo + _SCAN_CHUNK, n))  # not +=, which would share one array
         counts.append(total)
         prev = n
     return tuple(counts)
-
-
-def _chunked_prefix_counts(count_chunk, cps: Checkpoints) -> tuple:
-    """`prefix_counts` of count_chunk summed over chunks of at most _SCAN_CHUNK.
-
-    The chunks are made as the scan reaches them, so memory does not grow
-    with N; with a pool, at most one chunk per worker is in flight.
-    """
-
-    def chunks(lo, hi):
-        return ((a, min(a + _SCAN_CHUNK, hi)) for a in range(lo, hi, _SCAN_CHUNK))
-
-    workers = _workers()
-    if workers == 1:
-        return prefix_counts(lambda lo, hi: sum(count_chunk(a, b) for a, b in chunks(lo, hi)), cps)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-
-        def pooled_sum(lo, hi):
-            total = 0
-            pending = deque()
-            for a, b in chunks(lo, hi):
-                pending.append(pool.submit(count_chunk, a, b))
-                if len(pending) == workers:
-                    total += pending.popleft().result()
-            return total + sum(done.result() for done in pending)
-
-        return prefix_counts(pooled_sum, cps)
 
 
 def value_blocks(f: Sequence, n: int, start: int = 0):
@@ -206,14 +169,13 @@ def discrepancy_profile(f: Sequence, g: Sequence, cps: Checkpoints) -> Discrepan
     """
     remap = _label_map(f, g)
 
-    def count_chunk(lo, hi):
+    def count(lo, hi):
         fv = f.values(lo, hi - lo)
         if remap is not None:
             fv = remap[fv]
         return int(np.count_nonzero(fv != g.values(lo, hi - lo)))
 
-    counts = _chunked_prefix_counts(count_chunk, cps)
-    return DiscrepancyProfile(f.name, g.name, cps, counts)
+    return DiscrepancyProfile(f.name, g.name, cps, prefix_counts(count, cps))
 
 
 class Verdict(enum.Enum):
@@ -260,10 +222,10 @@ def density_estimate(indicator: Sequence, cps: Checkpoints) -> DiscrepancyProfil
         )
     one = indicator.alphabet.index("1")
 
-    def count_chunk(lo, hi):
+    def count(lo, hi):
         return int(np.count_nonzero(indicator.values(lo, hi - lo) == one))
 
-    return DiscrepancyProfile(indicator.name, "1", cps, _chunked_prefix_counts(count_chunk, cps))
+    return DiscrepancyProfile(indicator.name, "1", cps, prefix_counts(count, cps))
 
 
 # ---------------------------------------------------------------------------

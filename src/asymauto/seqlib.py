@@ -21,8 +21,7 @@ other blocks, and periodic sequences, evaluate the uint64 progression from
 with a step.  Of the per-term statistics, a bit length is the popcount of
 the smeared word, and the integer square root is a Newton descent from
 above with no masks and no correction.  Nothing here touches floating
-point.  Sequences are immutable after construction and safe to share
-between threads; evaluation is pure.
+point.  Sequences are immutable after construction; evaluation is pure.
 """
 
 from __future__ import annotations
@@ -280,9 +279,10 @@ def compress(f: Sequence, k: int, alpha: int, r: int) -> Sequence:
         raise ValueError(f"base must be >= 2, got {k}")
     if alpha < 0:
         raise ValueError(f"depth must be nonnegative, got {alpha}")
-    factor = k**alpha
-    if factor >= INT_LIMIT:
+    # k >= 2, so alpha >= 63 is past 2**63: refuse before computing the power
+    if alpha >= 63 or k**alpha >= INT_LIMIT:
         raise RangeError(f"{k}**{alpha} exceeds the 2**63 index range")
+    factor = k**alpha
     if not 0 <= r < factor:
         raise ValueError(f"residue {r} not in [0, {k}**{alpha})")
     return f._compose(f"compress:{k}:{alpha}:{r}:{f.name}", factor, r)

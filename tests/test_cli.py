@@ -161,7 +161,6 @@ def _eval_in_child(count: int) -> tuple:
         resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
 
     env = dict(os.environ, PYTHONPATH=str(Path(asymauto.__file__).parents[1]))
-    env.pop("ASYMAUTO_THREADS", None)
     argv = [sys.executable, "-m", "asymauto.cli", "eval", "--seq", "sqrt-parity",
             "--range", f"0:{count}"]
     child = subprocess.Popen(argv, stdout=subprocess.PIPE, env=env, preexec_fn=limit)
@@ -212,6 +211,38 @@ def test_kernel_budget_is_a_range_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("range error: ") and "budget" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["eval", "--seq", "compress:10:30000000:0:two-three", "--range", "0:3"],
+     "range error: 10**30000000 exceeds the 2**63 index range"),
+    (["eval", "--seq", "compress:2:99999999999999:0:two-three", "--range", "0:3"],
+     "range error: 2**99999999999999 exceeds the 2**63 index range"),
+    (["eval", "--seq", "compress:2:63:0:two-three", "--range", "0:3"],
+     "range error: 2**63 exceeds the 2**63 index range"),
+    (["kernel", "--seq", "two-three", "--base", "10", "--depth", "30000000"],
+     "range error: the 10**30000000 kernel elements at depth 30000000 exceed the budget"),
+])
+def test_huge_powers_refused_before_computing_them(argv, err):
+    # each power has millions of digits and took longer than 20 s to compute
+    env = dict(os.environ, PYTHONPATH=str(Path(asymauto.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "asymauto.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == 3
+    assert done.stderr.startswith(err) and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["smooth", "--limit", "12", "--kronecker", "1/0"], "error: tolerance '1/0' has a zero denominator"),
+    (["verify", "--criteria", "99"], "error: --criteria takes ids among 1, 2, 3,"),
+    (["verify", "--criteria", ","], "error: --criteria takes ids among 1, 2, 3,"),
+])
+def test_bad_option_values_are_usage_errors(capsys, monkeypatch, tmp_path, argv, err):
+    monkeypatch.chdir(tmp_path)  # where a verify run would write its outputs
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(err) and captured.err.count("\n") == 1
+    assert "PASS" not in captured.out and not any(tmp_path.iterdir())
 
 
 def test_kernel_compare_work_budget_is_a_range_error(capsys):

@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import asymauto.cobham as cobham_mod
 import asymauto.density as density_mod
+import asymauto.kernel as kernel_mod
 from asymauto import (
     INT_LIMIT,
     Checkpoints,
@@ -12,11 +14,14 @@ from asymauto import (
     Sequence,
     Verdict,
     VerdictPolicy,
+    cluster_kernel,
     density_estimate,
     discrepancy_profile,
     enumerate_smooth,
     periodic,
+    periodic_fit_sweep,
     seq_run_parity,
+    seq_sqrt_parity,
     seq_two_three,
     sequence_from_file,
     shift,
@@ -61,16 +66,6 @@ def test_geometric_rejects_first_below_one():
             Checkpoints.geometric(first, 100)
     with pytest.raises(ValueError, match="last checkpoint must be >= 1, got 0"):
         Checkpoints.geometric(1024, 0)
-
-
-def test_thread_count_clamped_to_cpu_count(monkeypatch):
-    monkeypatch.setattr(density_mod.os, "cpu_count", lambda: 3)
-    for env, want in (("1000000", 3), ("2", 2), ("0", 1), ("x", 1)):
-        monkeypatch.setenv("ASYMAUTO_THREADS", env)
-        assert density_mod._workers() == want
-    monkeypatch.setattr(density_mod.os, "cpu_count", lambda: None)
-    monkeypatch.setenv("ASYMAUTO_THREADS", "4")
-    assert density_mod._workers() == 1
 
 
 def test_identical_sequences_have_zero_profile():
@@ -124,40 +119,58 @@ def test_counts_chunking_invariance(monkeypatch):
     base = discrepancy_profile(f, g, cps).counts
     monkeypatch.setattr(density_mod, "_SCAN_CHUNK", 997)
     assert discrepancy_profile(f, g, cps).counts == base
-    monkeypatch.setenv("ASYMAUTO_THREADS", "2")
-    assert discrepancy_profile(f, g, cps).counts == base
+    want = tuple(int(np.count_nonzero(_max_run_u64(np.arange(n, dtype=np.uint64)) & 1)) for n in cps)
+    assert density_estimate(f, cps).counts == want
 
 
 class _Sentinel(Exception):
     pass
 
 
-@pytest.mark.parametrize("threads", [None, "2"])
-def test_prefix_scan_streams_its_spans(monkeypatch, threads):
-    # 2**44 spans to 2**62: a list of them would never finish; the stream stops
-    # at the first chunk's error, with at most one chunk per worker started
-    monkeypatch.setattr(density_mod.os, "cpu_count", lambda: 2)
-    if threads is None:
-        monkeypatch.delenv("ASYMAUTO_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("ASYMAUTO_THREADS", threads)
+@pytest.mark.parametrize("chunk", [None, 2])
+def test_prefix_scan_streams_its_spans(monkeypatch, chunk):
+    # at least 2**44 chunks to 2**62: a list of them would never finish; the
+    # scan stops at the first chunk's error, whatever the chunk size
+    if chunk is not None:
+        monkeypatch.setattr(density_mod, "_SCAN_CHUNK", chunk)
     calls = []
 
-    def count_chunk(lo, hi):
-        calls.append(lo)
-        if len(calls) == 1:
-            raise _Sentinel
-        return 0
+    def count(lo, hi):
+        calls.append((lo, hi))
+        raise _Sentinel
 
     with pytest.raises(_Sentinel):
-        density_mod._chunked_prefix_counts(count_chunk, Checkpoints((1 << 62,)))
-    assert len(calls) <= density_mod._workers()
+        prefix_counts(count, Checkpoints((1 << 62,)))
+    assert calls == [(0, density_mod._SCAN_CHUNK)]
 
-    f = seq_run_parity()
+
+def test_fits_and_kernel_profiles_count_in_chunks(monkeypatch):
+    # spans cross several 997-position chunks and end off multiples of 64
+    f = seq_sqrt_parity()
+    cps = Checkpoints((1000, 5003, 7919, 77777))
+
+    def run():
+        fits = periodic_fit_sweep(f, range(1, 13), cps)
+        return [(p.symbols, p.margins, p.profile.counts) for p in fits], cluster_kernel(f, 3, 2, cps, 0.45)
+
+    base_fits, base_q = run()
     monkeypatch.setattr(density_mod, "_SCAN_CHUNK", 997)
-    cps = Checkpoints((1000, 3000, 77777))
-    want = tuple(int(np.count_nonzero(_max_run_u64(np.arange(n, dtype=np.uint64)) & 1)) for n in cps)
-    assert density_estimate(f, cps).counts == want
+    spans = {cobham_mod: [], kernel_mod: []}
+    for module, seen in spans.items():
+
+        def spy(count, cps, seen=seen):
+            def counted(lo, hi):
+                seen.append(hi - lo)
+                return count(lo, hi)
+
+            return prefix_counts(counted, cps)
+
+        monkeypatch.setattr(module, "prefix_counts", spy)
+    fits, q = run()
+    assert all(seen and max(seen) <= 997 for seen in spans.values())
+    assert fits == base_fits
+    assert q.profiles == base_q.profiles and np.array_equal(q.matrix, base_q.matrix)
+    assert any(c[-1] for c in q.profiles.values())  # some member differs from its rep
 
 
 def test_triangle_inequality():
