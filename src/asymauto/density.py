@@ -254,6 +254,24 @@ def _popcount(bits: np.ndarray) -> int:
     return total
 
 
+# the digits Python writes of an int by default: the floor is written as an exact
+# fraction, so a longer numerator or denominator is refused
+_FLOOR_DIGITS = 4300
+
+
+def _union_floor(p: Fraction, gamma: int) -> Fraction:
+    """1 - (1-p)**(floor(gamma/3) - 1), refused past _FLOOR_DIGITS digits before it is built."""
+    e = gamma // 3 - 1
+    # the denominator of (1-p)**e is at least 2**(e * (its bit length - 1)), and
+    # 2**(4 * digits) is past 10**digits: the power is computed only below that
+    if e * ((1 - p).denominator.bit_length() - 1) <= 4 * _FLOOR_DIGITS:
+        bound = 1 - (1 - p) ** e
+        if max(abs(bound.numerator), bound.denominator) < 10**_FLOOR_DIGITS:
+            return bound
+    raise RangeError(f"floor 1 - (1 - {p})**{e} of gamma={gamma} has more than "
+                     f"{_FLOOR_DIGITS} digits to write")
+
+
 @dataclass(frozen=True)
 class UnionDensityResult:
     """Exact covered fraction of [0, k**nu) against the analytic floor."""
@@ -308,7 +326,8 @@ def union_density_experiment(
     1 - (1-p)**(floor(gamma/3) - 1) with p = (floor(k/m)-1)(k-1)/k**3.  Only
     the normalized regime is accepted: for m >= k/2 or delta != 1, first
     replace k by a power k**lam large enough that m < k/2 and delta can be
-    taken as 1, then rerun.
+    taken as 1, then rerun.  A floor whose exact fraction has more than
+    _FLOOR_DIGITS digits is refused (RangeError) before anything is marked.
     """
     if k < 2:
         raise ValueError(f"base must be >= 2, got {k}")
@@ -330,9 +349,14 @@ def union_density_experiment(
     total = k**nu
     check_budget(total, "bits", what)
 
+    p = Fraction((k // m - 1) * (k - 1), k**3)
+    bound = _union_floor(p, gamma)
+
     bits = np.zeros((total + 7) // 8, dtype=np.uint8)
     low = k**delta
-    for a in range(gamma):
+    # a level a > nu has the one interval [k, min(k**(a-1), k**nu)): every level
+    # past nu + 1 marks [k, k**nu) as level nu + 1 does
+    for a in range(min(gamma, nu + 2)):
         if a <= 2 * delta:
             continue  # offset interval [k**delta, k**(a-delta)) is empty
         high = k ** (a - delta)
@@ -344,6 +368,4 @@ def union_density_experiment(
                 _mark_range(bits, x, y)
 
     covered = _popcount(bits)
-    p = Fraction((k // m - 1) * (k - 1), k**3)
-    bound = 1 - (1 - p) ** (gamma // 3 - 1)
     return UnionDensityResult(k, m, delta, gamma, nu, covered, total, p, bound)

@@ -115,6 +115,16 @@ def _differ(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(x ^ y, axis=-2)
 
 
+def _count_bits(words: np.ndarray, lo: int, hi: int) -> int:
+    """Set bits at positions [lo, hi) of `words`, LSB first: a popcount of the words it
+    spans, less the bits of the first word below lo and of the last word from hi on."""
+    first, last = lo >> 6, (hi - 1) >> 6
+    total = int(np.bitwise_count(words[first : last + 1]).sum())
+    below = int(words[first]) & ((1 << (lo & 63)) - 1)
+    above = int(words[last]) >> (((hi - 1) & 63) + 1)
+    return total - below.bit_count() - above.bit_count()
+
+
 def _pairwise_counts(packed: np.ndarray) -> np.ndarray:
     """Positions where two elements differ, by popcount of the differ words, tile by tile."""
     d, planes, words = packed.shape
@@ -204,8 +214,7 @@ def cluster_words(kw: KernelWords, tau: float) -> KernelQuotient:
     profiles = {}
     for i, er in enumerate(order):
         differ = _differ(packed[i], packed[reps[assignment[i]]])
-        mism = np.unpackbits(differ.view(np.uint8), count=n_final, bitorder="little")
-        profiles[er] = prefix_counts(lambda lo, hi: int(np.count_nonzero(mism[lo:hi])), cps)
+        profiles[er] = prefix_counts(lambda lo, hi: _count_bits(differ, lo, hi), cps)
 
     return KernelQuotient(
         source=kw.source,

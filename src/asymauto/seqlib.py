@@ -18,7 +18,12 @@ of the 16-bit window l, so a block that crosses fewer h than it has terms
 evaluates the h statistics once per h, fills them by runs and looks up l;
 other blocks, and periodic sequences, evaluate the uint64 progression from
 `_progression` with whole-array word operations.  `file:` slices its table
-with a step.  Of the per-term statistics, a bit length is the popcount of
+with a step; it loads the table in blocks of whole lines, with every line break
+of `str.splitlines` turned into \n by bytes methods, and keys a block whose
+lines have at most 2 bytes by the 2 bytes before each \n, one lookup in a
+65,536-entry id table per line, so only a label seen first goes through Python;
+a block with a longer line looks each line up in the label dict.  Of the
+per-term statistics, a bit length is the popcount of
 the smeared word, and the integer square root is a Newton descent from
 above with no masks and no correction.  Nothing here touches floating
 point.  Sequences are immutable after construction; evaluation is pure.
@@ -316,22 +321,123 @@ def periodic(values) -> Sequence:
     return Sequence(name, (str(i) for i in range(size)), leaf, _MAX_INDEX)
 
 
+# bytes per read of a sequence file; a block runs to the last line break of its read
+_FILE_BLOCK = 1 << 18
+
+# the line breaks of str.splitlines besides \n and \r\n, as UTF-8 bytes: the
+# one-byte ones by one translate, U+0085, U+2028 and U+2029 by replace
+_ONE_BYTE_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+_ASCII_BREAKS = bytes.maketrans(b"".join(_ONE_BYTE_BREAKS), b"\n" * 6)
+_WIDE_BREAKS = (b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9")
+
+
+def _break_end(chunk: bytes) -> int:
+    """The end of the last line break in a read, or 0.
+
+    Only a read without b"\\n" is searched for the other breaks, and its final
+    b"\\r" does not count, since it may be half of a \\r\\n.
+    """
+    end = chunk.rfind(b"\n") + 1
+    if not end:
+        for brk in _ONE_BYTE_BREAKS + _WIDE_BREAKS:
+            at = chunk.rfind(brk, 0, len(chunk) - (brk == b"\r"))
+            if at >= 0:
+                end = max(end, at + len(brk))
+    return end
+
+
+def _file_blocks(fh):
+    """(file offset, bytes) of each run of whole lines, cut after the last line break of a read.
+
+    A read with no line break joins the next one, so no \\r\\n or UTF-8
+    character is split.  The last block is the rest of the file.
+    """
+    offset, pending = 0, []
+    while chunk := fh.read(_FILE_BLOCK):
+        cut = _break_end(chunk)
+        if not cut:
+            pending.append(chunk)
+            continue
+        view = memoryview(chunk)
+        block = b"".join([*pending, view[:cut]])
+        yield offset, block
+        offset += len(block)
+        pending = [view[cut:]]
+    if tail := b"".join(pending):
+        yield offset, tail
+
+
+def _block_ids(block: bytes, offset: int, index: dict, key_ids: np.ndarray) -> np.ndarray:
+    """The label id of each line of one block, adding unseen labels to `index` in order.
+
+    Ids of 256 and above wrap: the caller refuses such an alphabet anyway.
+    """
+    is_ascii = block.isascii()
+    if not is_ascii:
+        try:
+            block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the position in the file, as one decode of the whole file reports it
+            raise UnicodeDecodeError(exc.encoding, bytes(offset) + block, offset + exc.start,
+                                     offset + exc.end, exc.reason) from None
+    # \r\n first: \r before a wide break is a break of its own
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")
+    if not is_ascii:
+        for wide in _WIDE_BREAKS:
+            block = block.replace(wide, b"\n")
+    if any(byte in block for byte in _ONE_BYTE_BREAKS):
+        block = block.translate(_ASCII_BREAKS)
+    if not block.endswith(b"\n"):
+        block += b"\n"
+    # two leading line breaks, so every line has two bytes before its end
+    buf = np.frombuffer(b"\n\n" + block, dtype=np.uint8)
+    text = buf != 10
+    if (text[:-2] & text[1:-1] & text[2:]).any():
+        labels = block.decode("utf-8").split("\n")[:-1]
+        for label in dict.fromkeys(labels):
+            index.setdefault(label, len(index))
+        return np.fromiter(map(index.__getitem__, labels), np.int64, len(labels)).astype(np.uint8)
+    # every line has at most 2 bytes: key it by the 2 bytes before its end, whose
+    # bytes after their last \n are the label, so one key never names two labels
+    pairs = buf[:-2].astype(np.uint16)
+    pairs <<= 8
+    pairs |= buf[1:-1]
+    keys = pairs.take(np.flatnonzero(buf[2:] == 10))
+    ids = key_ids.take(keys)
+    unseen = ids < 0
+    if unseen.any():
+        fresh, first = np.unique(keys[unseen], return_index=True)
+        for key in fresh[np.argsort(first)].tolist():
+            label = bytes(divmod(key, 256)).rpartition(b"\n")[2].decode("utf-8")
+            key_ids[key] = index.setdefault(label, len(index))
+        ids = key_ids.take(keys)
+    return ids.astype(np.uint8)
+
+
 def sequence_from_file(path) -> Sequence:
-    """One symbol label per line; the line count bounds the evaluable range."""
-    with open(path, "r", encoding="utf-8") as fh:
-        labels = fh.read().splitlines()
-    if not labels:
+    """One symbol label per line; the line count bounds the evaluable range.
+
+    Lines split as `str.splitlines` splits them.  The file is read in blocks
+    of about `_FILE_BLOCK` bytes: a block of lines of at most 2 bytes maps a
+    2-byte key per line through one 65,536-entry id table, and only labels
+    it sees first go through Python; a block with a longer line looks every
+    line up in the label dict.  First appearance orders the alphabet.
+    """
+    index: dict = {}
+    key_ids = np.full(1 << 16, -1, dtype=np.int32)
+    with open(path, "rb") as fh:
+        parts = [_block_ids(block, offset, index, key_ids) for offset, block in _file_blocks(fh)]
+    if not parts:
         raise ValueError(f"{path}: empty sequence file")
-    # dict keys keep first-appearance order: that order is the alphabet's
-    index = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
     name = f"file:{path}"
     _check_alphabet_size(name, len(index))
-    table = np.fromiter(map(index.__getitem__, labels), dtype=np.uint8, count=len(labels))
+    table = np.concatenate(parts)
 
     def leaf(first, step, count):
         return table[first : first + step * (count - 1) + 1 : step].copy()
 
-    return Sequence(name, index, leaf, len(labels) - 1)
+    return Sequence(name, index, leaf, len(table) - 1)
 
 
 # ---------------------------------------------------------------------------

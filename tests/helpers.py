@@ -6,6 +6,7 @@ shares code with the package.
 """
 
 import math
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -131,3 +132,44 @@ def majority_by_residue_loop(values: list, q: int):
         symbols.append(ranked[0][0])
         margins.append((top - runner) / len(values[r::q]))
     return symbols, margins
+
+
+def labels_by_splitlines(path) -> tuple:
+    """(alphabet, symbol index per line) of a label file, read whole and split by str.splitlines.
+
+    Raises ValueError with the loader's texts for an empty file and for more
+    than 256 labels; invalid UTF-8 raises from the text decode of the whole file.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        labels = fh.read().splitlines()
+    if not labels:
+        raise ValueError(f"{path}: empty sequence file")
+    alphabet = tuple(dict.fromkeys(labels))
+    if len(alphabet) > 256:
+        raise ValueError(
+            f"file:{path}: alphabet has {len(alphabet)} symbols, need between 1 and 256"
+        )
+    position = {lab: i for i, lab in enumerate(alphabet)}
+    return alphabet, [position[lab] for lab in labels]
+
+
+# Linux carries a process's peak RSS across fork and exec, so a child of the test
+# process reports at least the test process's own peak.  This launcher runs its
+# arguments as a python command in a child of its own, prints that child's peak RSS
+# (KiB, by wait4) as the last line of stderr and exits with the child's exit code.
+_RSS_LAUNCHER = (
+    "import os, sys; "
+    "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ); "
+    "_, status, usage = os.wait4(pid, 0); print(usage.ru_maxrss, file=sys.stderr); "
+    "sys.exit(os.waitstatus_to_exitcode(status))"
+)
+
+
+def python_with_peak_rss(*args) -> list:
+    """argv of `python *args` under the launcher; read its peak with `peak_rss_bytes`."""
+    return [sys.executable, "-c", _RSS_LAUNCHER, *args]
+
+
+def peak_rss_bytes(stderr) -> int:
+    """The peak RSS in bytes the launcher wrote as the last line of stderr."""
+    return int(stderr.splitlines()[-1]) * 1024

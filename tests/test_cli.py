@@ -6,6 +6,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from asymauto.cli import (
 )
 from asymauto.errors import ExprError
 from asymauto.seqlib import Sequence
+from helpers import peak_rss_bytes, python_with_peak_rss
 
 
 def test_parse_examples():
@@ -155,22 +157,22 @@ def _eval_in_child(count: int) -> tuple:
     """`eval --seq sqrt-parity --range 0:count` in a child under a 2 GB address-space limit.
 
     Returns (exit code, stdout bytes, first stdout block, peak RSS in bytes) of that child
-    alone, read with wait4, not the pooled RUSAGE_CHILDREN.
+    alone, read by `python_with_peak_rss`, not the pooled RUSAGE_CHILDREN.
     """
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
 
     env = dict(os.environ, PYTHONPATH=str(Path(asymauto.__file__).parents[1]))
-    argv = [sys.executable, "-m", "asymauto.cli", "eval", "--seq", "sqrt-parity",
-            "--range", f"0:{count}"]
-    child = subprocess.Popen(argv, stdout=subprocess.PIPE, env=env, preexec_fn=limit)
+    argv = python_with_peak_rss("-m", "asymauto.cli", "eval", "--seq", "sqrt-parity",
+                                "--range", f"0:{count}")
+    child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                             preexec_fn=limit)
     head = child.stdout.read(1 << 16)
     size = len(head)
     while block := child.stdout.read(1 << 20):
         size += len(block)
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)
-    return child.returncode, size, head, usage.ru_maxrss * 1024  # ru_maxrss is in KiB
+    err = child.stderr.read()
+    return child.wait(), size, head, peak_rss_bytes(err)
 
 
 def test_eval_memory_stays_near_one_block():
@@ -354,6 +356,14 @@ def test_periodic_fit_cli(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "q=3: fit fraction=0" in out
     assert (tmp_path / "fit.csv").read_text(encoding="utf-8").count("\n") >= 3
+
+
+def test_union_huge_gamma_refused_in_one_line(capsys):
+    start = time.perf_counter()
+    assert main(["union-density", "--k", "4", "--m", "1", "--gamma", "100000", "--nu", "5"]) == 3
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("range error: ") and err.count("\n") == 1, err
 
 
 def test_union_density_cli(capsys):

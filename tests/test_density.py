@@ -1,5 +1,10 @@
+import importlib.util
+import random
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,6 +369,51 @@ def test_union_budget_refused_before_the_power():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _benchmark_oracles():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("asymauto_bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_union_levels_past_nu_match_oracles():
+    # gamma > nu + 1: the levels past nu + 1 repeat level nu + 1's interval
+    oracles = _benchmark_oracles()
+    rng = random.Random(12)
+    for _ in range(30):
+        k = rng.randint(3, 9)
+        m = rng.randint(1, (k - 1) // 2)
+        nu = rng.randint(1, 7 if k == 3 else 4)
+        # the oracle steps by m * k**a in int64
+        gamma = rng.randint(nu + 2, (62 - m.bit_length()) // k.bit_length())
+        res = union_density_experiment(k, m, 1, gamma, nu)
+        assert res.covered == oracles.union_coverage(k, m, 1, gamma, nu), (k, m, gamma, nu)
+        assert (res.success_p, res.bound) == oracles.union_floor(k, m, gamma), (k, m, gamma)
+        gamma = rng.randint(nu + 2, 60)
+        res = union_density_experiment(k, m, 1, gamma, nu)
+        assert res.covered == union_by_marking_sets(k, m, 1, gamma, nu), (k, m, gamma, nu)
+        gamma = rng.randint(nu + 2, 2000)
+        res = union_density_experiment(k, m, 1, gamma, nu)
+        assert (res.success_p, res.bound) == oracles.union_floor(k, m, gamma), (k, m, gamma)
+
+
+def test_union_floor_refused_past_its_digits():
+    # 1 - 9/64 = 55/64: the floor's denominator 64**e has 4299 digits at e = 2380
+    # (gamma = 7143) and 4301 at e = 2381 (gamma = 7146)
+    res = union_density_experiment(4, 1, 1, 7143, 5)
+    assert res.bound == 1 - Fraction(55, 64) ** 2380
+    assert res.covered == union_by_marking_sets(4, 1, 1, 7, 5)
+    assert f'"bound": "{res.bound.numerator}/{res.bound.denominator}"' in res.to_json()
+    with pytest.raises(RangeError, match="more than 4300 digits"):
+        union_density_experiment(4, 1, 1, 7146, 5)
+    start = time.perf_counter()
+    with pytest.raises(RangeError, match="more than 4300 digits"):
+        union_density_experiment(4, 1, 1, 10**12, 5)
+    assert time.perf_counter() - start < 1
 
 
 def test_union_bound_is_exact_fraction_comparison():

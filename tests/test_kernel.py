@@ -176,6 +176,20 @@ def test_packed_matrix_and_profiles_match_direct_counts(tmp_path, n_sym, k, dept
     assert any(counts[-1] for counts in q.profiles.values()) is (n_sym > 1)
 
 
+def test_count_bits_matches_unpacked_count():
+    rng = np.random.default_rng(11)
+    words = rng.integers(0, 1 << 63, 40, dtype=np.uint64)
+    words |= rng.integers(0, 2, 40, dtype=np.uint64) << np.uint64(63)
+    words[5] = 0
+    words[6] = np.uint64(2**64 - 1)
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+    spans = [(0, 64), (0, 1), (63, 64), (64, 128), (3, 60), (60, 70), (5, 2560), (0, 2560),
+             (320, 448), (383, 385)]
+    spans += [tuple(sorted(rng.choice(2561, 2, replace=False).tolist())) for _ in range(300)]
+    for lo, hi in spans:
+        assert kernel_mod._count_bits(words, lo, hi) == int(bits[lo:hi].sum()), (lo, hi)
+
+
 def test_kernel_budget_checked_before_allocating(monkeypatch):
     # 797161 elements to base 3, depth 12 need a 5 * 10**12-byte matrix: refused, not attempted
     with pytest.raises(RangeError, match="797161 kernel elements.*budget"):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,9 +32,12 @@ from asymauto import seqlib
 from asymauto.seqlib import _fill_runs, _isqrt_u64, _leading_ones_u64, _max_run_u64
 
 from helpers import (
+    labels_by_splitlines,
     leading_ones_by_string,
     leading_prime_naive,
     max_run_by_string,
+    peak_rss_bytes,
+    python_with_peak_rss,
     run_parity_naive,
     sqrt_parity_naive,
     two_three_naive,
@@ -434,6 +441,114 @@ def test_sequence_from_file(tmp_path):
     with pytest.raises(ValueError):
         (tmp_path / "empty.txt").write_text("", encoding="utf-8")
         sequence_from_file(tmp_path / "empty.txt")
+
+
+# every line break str.splitlines knows, and labels of 0, 1, 2 and more bytes,
+# multi-byte UTF-8 ones among them
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
+FILE_LABEL_CHOICES = ["", "a", "b", "0", "1", "+1", "-1", "\u00e9", "\u20ac", "\u65e5\u672c",
+                      "\U0001f600", "abc", "long label"]
+
+
+def _load_with_block(path, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqlib, "_FILE_BLOCK", block)
+        return sequence_from_file(path)
+
+
+def _assert_loads_as_splitlines(path, block):
+    alphabet, ids = labels_by_splitlines(path)
+    f = _load_with_block(path, block)
+    assert f.alphabet == alphabet
+    assert f.limit == len(ids) - 1
+    assert f.values(0, len(ids)).tolist() == ids
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(FILE_LABEL_CHOICES), st.sampled_from(LINE_BREAKS)),
+             min_size=1, max_size=60),
+    st.booleans(),
+    st.sampled_from([1, 2, 3, 5, 8, 64, 1 << 18]),
+)
+def test_file_loader_matches_splitlines(tmp_path_factory, lines, trailing, block):
+    text = "".join(label + brk for label, brk in lines)
+    if not trailing:
+        text = text[: -len(lines[-1][1])]
+    assume(text)
+    path = tmp_path_factory.getbasetemp() / "hypothesis-labels.txt"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_loads_as_splitlines(path, block)
+
+
+@pytest.mark.parametrize("block", range(1, 9))
+def test_file_loader_blocks_split_anywhere(tmp_path, block):
+    # \r\n, U+2028 and labels of every length fall on every side of the block cuts
+    text = "a\r\nbb\r\n\r\nccc\rd\u2028\u00e9\r\n\x85ee\x1c\r\n\r\nf\r\x85\r\u2029g"
+    path = tmp_path / "mixed.txt"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_loads_as_splitlines(path, block)
+    short = tmp_path / "short.txt"  # lines of at most 2 bytes only: the keyed path
+    short.write_bytes("a\r\n\r\nbb\n\u00e9\rb\x0ba\r\x85\n".encode("utf-8") * 3)
+    _assert_loads_as_splitlines(short, block)
+
+
+def test_every_line_break_splits(tmp_path):
+    path = tmp_path / "breaks.txt"
+    path.write_bytes("".join(f"x{brk}" for brk in LINE_BREAKS).encode("utf-8"))
+    for block in (1, 4, 1 << 18):
+        f = _load_with_block(path, block)
+        assert f.alphabet == ("x",)
+        assert f.limit == len(LINE_BREAKS) - 1
+
+
+FILE_ERRORS = {
+    "empty": b"",
+    "257 labels, long lines": "".join(f"{i}\n" for i in range(257)).encode(),
+    "300 labels of 2 bytes": "".join(
+        f"{chr(65 + i // 26)}{chr(97 + i % 26)}\n" for i in range(300)).encode(),
+    "invalid start byte": b"a\nb\n\xff\nc\n",
+    "invalid late": b"ab\n" * 40 + b"\xe2\x28\xa1\n",
+    "truncated inside": b"a\n" * 10 + b"\xe2\x82\n",
+    "truncated at the end": b"a\n\xe2\x82",
+    "invalid in a long line": b"abcdef\n" * 5 + b"xy\xc3\x28z\n",
+}
+
+
+@pytest.mark.parametrize("name", FILE_ERRORS)
+def test_file_loader_errors_match_splitlines(tmp_path, name):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(FILE_ERRORS[name])
+    with pytest.raises(ValueError) as want:
+        labels_by_splitlines(path)
+    for block in (3, 16, 1 << 18):
+        with pytest.raises(ValueError) as got:
+            _load_with_block(path, block)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+
+def _load_in_child(path) -> int:
+    """Peak RSS in bytes of a child that loads one `file:` sequence."""
+    env = dict(os.environ, PYTHONPATH=str(Path(seqlib.__file__).parents[1]))
+    load = "import sys; from asymauto import sequence_from_file; sequence_from_file(sys.argv[1])"
+    argv = python_with_peak_rss("-c", load, str(path))
+    return peak_rss_bytes(subprocess.run(argv, env=env, capture_output=True, check=True).stderr)
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\u2028"])
+def test_file_memory_stays_near_the_table(tmp_path, brk):
+    # 2**22 one-byte labels: a 4 MiB table, where the whole text and a list of every
+    # line took about 50 MiB; a file without \n is cut at its other breaks
+    n = 1 << 22
+    lines = np.empty((n, 1 + len(brk.encode())), dtype=np.uint8)
+    lines[:, 0] = (np.arange(n) % 3).astype(np.uint8) + ord("0")
+    lines[:, 1:] = np.frombuffer(brk.encode(), dtype=np.uint8)
+    big, small = tmp_path / "big.txt", tmp_path / "small.txt"
+    big.write_bytes(lines.tobytes())
+    small.write_bytes(lines[:2000].tobytes())
+    peak, base = _load_in_child(big), _load_in_child(small)
+    assert peak - base < 4 * n, (peak, base)
 
 
 def test_batch_matches_scalar_on_builtins():
