@@ -1,8 +1,9 @@
 """Command-line front door: sequence expressions, experiments, exports.
 
-Sequence expressions are prefix-nested with ':' separators and no whitespace,
-e.g. `shift:1:two-three` or `compress:2:1:0:run-parity`.  `periodic:` and
-`file:` consume the rest of the expression (they are always leaves).
+A sequence expression is a chain with ':' separators and no whitespace:
+zero or more steps, `shift:m:` or `compress:k:a:r:`, then exactly one leaf,
+e.g. `shift:1:two-three` or `compress:2:1:0:run-parity`.  The leaves
+`periodic:` and `file:` consume the rest of the expression.
 
 Exit codes: 0 success, 1 verdict/acceptance failure, 2 usage or parse error,
 3 range/overflow error.  Data outputs are byte-identical across reruns with
@@ -17,7 +18,6 @@ import itertools
 import shlex
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +31,7 @@ from .cobham import (
     shift_invariance,
 )
 from .density import Checkpoints, VerdictPolicy, discrepancy_profile, verdict
+from .digits import INT_LIMIT
 from .errors import ExprError, RangeError
 from .kernel import check_labeling_consistency, cluster_kernel, default_depth, quotient_to_json
 from .seqlib import (
@@ -55,36 +56,10 @@ DEFAULT_CP_FIRST = 1 << 10
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeafExpr:
-    kind: str  # leading-prime | run-parity | sqrt-parity | two-three
-
-
-@dataclass(frozen=True)
-class PeriodicExpr:
-    values: tuple
-
-
-@dataclass(frozen=True)
-class FileExpr:
-    path: str
-
-
-@dataclass(frozen=True)
-class ShiftExpr:
-    m: int
-    inner: object
-
-
-@dataclass(frozen=True)
-class CompressExpr:
-    k: int
-    alpha: int
-    r: int
-    inner: object
-
-
-_LEAVES = ("leading-prime", "run-parity", "sqrt-parity", "two-three")
+# the leaves built from their step's arguments alone; two-three reads the builder's table,
+# and file: calls this module's `sequence_from_file`, the name a tracer wraps
+_LEAVES = {"leading-prime": seq_leading_prime, "run-parity": seq_run_parity,
+           "sqrt-parity": seq_sqrt_parity, "periodic": periodic}
 
 
 def _take_token(text: str, pos: int):
@@ -107,69 +82,68 @@ def _take_int(text: str, pos: int, what: str):
     return int(token), end
 
 
-def _parse(text: str, pos: int):
-    token, end = _take_token(text, pos)
-    if token in _LEAVES:
-        return LeafExpr(token), end
+def _parse_leaf(text: str, token: str, pos: int, end: int) -> tuple:
+    """The leaf step named by `token` at `pos`; it ends the expression."""
     if token == "periodic":
         end = _expect_colon(text, end)
-        rest = text[end:]
-        if not rest:
+        if end == len(text):
             raise ExprError("periodic needs a comma-separated value list", end)
         values = []
-        at = end
-        for part in rest.split(","):
+        for part in text[end:].split(","):
             if not (part.isascii() and part.isdigit()):
-                raise ExprError(f"bad periodic value {part!r}", at)
+                raise ExprError(f"bad periodic value {part!r}", end)
             values.append(int(part))
-            at += len(part) + 1
-        return PeriodicExpr(tuple(values)), len(text)
-    if token == "shift":
-        end = _expect_colon(text, end)
-        m, end = _take_int(text, end, "shift amount")
-        end = _expect_colon(text, end)
-        inner, end = _parse(text, end)
-        return ShiftExpr(m, inner), end
-    if token == "compress":
-        end = _expect_colon(text, end)
-        k_at = end
-        k, end = _take_int(text, end, "base")
-        if k < 2:
-            raise ExprError(f"base must be >= 2, got {k}", k_at)
-        end = _expect_colon(text, end)
-        alpha, end = _take_int(text, end, "depth")
-        end = _expect_colon(text, end)
-        r_at = end
-        r, end = _take_int(text, end, "residue")
-        if alpha < 63 and r >= k**alpha:  # compress refuses alpha >= 63 before the power
-            raise ExprError(f"residue {r} >= {k}**{alpha}", r_at)
-        end = _expect_colon(text, end)
-        inner, end = _parse(text, end)
-        return CompressExpr(k, alpha, r, inner), end
+            end += len(part) + 1
+        return ("periodic", tuple(values))
     if token == "file":
         end = _expect_colon(text, end)
-        path = text[end:]
-        if not path:
+        if end == len(text):
             raise ExprError("file needs a path", end)
-        return FileExpr(path), len(text)
+        return ("file", text[end:])
+    if token == "two-three" or token in _LEAVES:
+        if end != len(text):
+            raise ExprError("trailing characters after expression", end)
+        return (token,)
     raise ExprError(f"unknown constructor {token!r}", pos)
 
 
-def parse_expr(text: str):
-    """Parse a sequence expression; errors carry the byte offset."""
+def parse_expr(text: str) -> tuple:
+    """The steps of a sequence expression, outermost first; errors carry the byte offset.
+
+    Steps are ("shift", m) and ("compress", k, alpha, r); the last is the leaf,
+    (name,), ("periodic", values) or ("file", path).
+    """
     for i, ch in enumerate(text):
         if ch.isspace():
             raise ExprError("whitespace is not allowed in expressions", i)
     if not text:
         raise ExprError("empty expression", 0)
-    expr, end = _parse(text, 0)
-    if end != len(text):
-        raise ExprError("trailing characters after expression", end)
-    return expr
+    steps = []
+    pos = 0
+    while True:
+        token, end = _take_token(text, pos)
+        if token == "shift":
+            m, end = _take_int(text, _expect_colon(text, end), "shift amount")
+            steps.append(("shift", m))
+        elif token == "compress":
+            k_at = _expect_colon(text, end)
+            k, end = _take_int(text, k_at, "base")
+            if k < 2:
+                raise ExprError(f"base must be >= 2, got {k}", k_at)
+            alpha, end = _take_int(text, _expect_colon(text, end), "depth")
+            r_at = _expect_colon(text, end)
+            r, end = _take_int(text, r_at, "residue")
+            if alpha < 63 and r >= k**alpha:  # compress refuses alpha >= 63 before the power
+                raise ExprError(f"residue {r} >= {k}**{alpha}", r_at)
+            steps.append(("compress", k, alpha, r))
+        else:
+            steps.append(_parse_leaf(text, token, pos, end))
+            return tuple(steps)
+        pos = _expect_colon(text, end)
 
 
 class SequenceBuilder:
-    """Turns expression trees into sequences, sharing one smooth table."""
+    """Turns parsed expressions into sequences, sharing one smooth table."""
 
     def __init__(self, smooth_limit: int = DEFAULT_SMOOTH_LIMIT):
         self.smooth_limit = smooth_limit
@@ -177,27 +151,24 @@ class SequenceBuilder:
 
     def table(self):
         if self._table is None:
+            # seq_two_three refuses this coverage; refuse it before enumerating
+            if self.smooth_limit >= INT_LIMIT:
+                raise RangeError("table coverage exceeds the 2**63 index range")
             self._table = smooth.enumerate_smooth(self.smooth_limit)
         return self._table
 
-    def build(self, expr) -> Sequence:
-        if isinstance(expr, LeafExpr):
-            if expr.kind == "leading-prime":
-                return seq_leading_prime()
-            if expr.kind == "run-parity":
-                return seq_run_parity()
-            if expr.kind == "sqrt-parity":
-                return seq_sqrt_parity()
-            return seq_two_three(self.table())
-        if isinstance(expr, PeriodicExpr):
-            return periodic(expr.values)
-        if isinstance(expr, FileExpr):
-            return sequence_from_file(expr.path)
-        if isinstance(expr, ShiftExpr):
-            return shift(self.build(expr.inner), expr.m)
-        if isinstance(expr, CompressExpr):
-            return compress(self.build(expr.inner), expr.k, expr.alpha, expr.r)
-        raise TypeError(f"unknown expression node {expr!r}")
+    def build(self, steps) -> Sequence:
+        """The sequence of `parse_expr`'s steps: the leaf, then each step from the inside out."""
+        leaf, *args = steps[-1]
+        if leaf == "two-three":
+            f = seq_two_three(self.table())
+        elif leaf == "file":
+            f = sequence_from_file(*args)
+        else:
+            f = _LEAVES[leaf](*args)
+        for name, *args in reversed(steps[:-1]):
+            f = shift(f, *args) if name == "shift" else compress(f, *args)
+        return f
 
 
 def build_sequence(text: str, smooth_limit: int = DEFAULT_SMOOTH_LIMIT) -> Sequence:
@@ -284,8 +255,12 @@ def _cmd_eval(args) -> int:
 
 def _cmd_smooth(args) -> int:
     if args.first is not None:
+        density.check_budget(smooth.first_bytes(args.first), "bytes",
+                             f"3-smooth table of the first {args.first} entries")
         table = smooth.SmoothTable.first(args.first)
     else:
+        density.check_budget(smooth.limit_bytes(args.limit), "bytes",
+                             f"3-smooth table up to {args.limit}")
         table = smooth.enumerate_smooth(args.limit)
     print(f"entries: {len(table)}  last: {table[len(table) - 1].value}")
     if args.csv is not None:

@@ -31,6 +31,7 @@ point.  Sequences are immutable after construction; evaluation is pure.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import operator
@@ -367,6 +368,25 @@ def _file_blocks(fh):
         yield offset, tail
 
 
+# where the data of a bytes object starts, past CPython's header
+_BYTES_DATA = bytes.__basicsize__ - 1
+
+
+def _decode_error_in_file(exc: UnicodeDecodeError, offset: int) -> UnicodeDecodeError:
+    """`exc` of a block `offset` > 0 bytes into its file, as a decode of the whole file reports it.
+
+    The error's text shows the byte at its start, read from its object, so the
+    object runs from the file's start to the error's end.  It is `bytes(n)`, which
+    CPython takes zeroed from calloc, so a large prefix stays unmapped zero pages
+    instead of a copy; the bad bytes are written in at the end before any other
+    code holds the object.
+    """
+    start, end = offset + exc.start, offset + exc.end
+    whole = bytes(end)  # end >= 2, so a fresh object and never a shared singleton
+    ctypes.memmove(id(whole) + _BYTES_DATA + start, exc.object[exc.start : exc.end], end - start)
+    return UnicodeDecodeError(exc.encoding, whole, start, end, exc.reason)
+
+
 def _block_ids(block: bytes, offset: int, index: dict, key_ids: np.ndarray) -> np.ndarray:
     """The label id of each line of one block, adding unseen labels to `index` in order.
 
@@ -377,9 +397,9 @@ def _block_ids(block: bytes, offset: int, index: dict, key_ids: np.ndarray) -> n
         try:
             block.decode("utf-8")
         except UnicodeDecodeError as exc:
-            # the position in the file, as one decode of the whole file reports it
-            raise UnicodeDecodeError(exc.encoding, bytes(offset) + block, offset + exc.start,
-                                     offset + exc.end, exc.reason) from None
+            if offset:
+                raise _decode_error_in_file(exc, offset) from None
+            raise
     # \r\n first: \r before a wide break is a break of its own
     if b"\r" in block:
         block = block.replace(b"\r\n", b"\n")

@@ -11,6 +11,7 @@ only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,6 +83,30 @@ def enumerate_smooth(limit: int) -> SmoothTable:
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     return SmoothTable(_merge(lambda v, _: v > limit), limit)
+
+
+def first_bytes(count: int) -> int:
+    """An upper bound on the value bytes of `SmoothTable.first(count)`.
+
+    With s = isqrt(count), the (s + 1)**2 > count pairs (a, b) with
+    a + 2b <= 2s give values 2**a 3**b <= 2**(2s), so each of the first
+    `count` entries has at most 2s + 1 bits.
+    """
+    if count < 1:
+        return 0
+    return count * ((2 * math.isqrt(count) + 8) // 8)
+
+
+def limit_bytes(limit: int) -> int:
+    """An upper bound on the value bytes of `enumerate_smooth(limit)`.
+
+    At most (floor(log2 L) + 1)(floor(log3 L) + 1) entries, each of at most
+    L's bit length.
+    """
+    threes, power = 0, 1
+    while power <= limit:
+        threes, power = threes + 1, 3 * power
+    return limit.bit_length() * threes * ((limit.bit_length() + 7) // 8)
 
 
 @dataclass(frozen=True)

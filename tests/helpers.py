@@ -94,6 +94,39 @@ def union_by_marking_sets(k, m, delta, gamma, nu) -> int:
     return len(covered)
 
 
+def union_by_level_arithmetic(k, m, gamma, nu) -> int:
+    """`union_by_marking_sets(k, m, 1, gamma, nu)` for normalized k, m, by arithmetic.
+
+    Level a adds [k, k^(a-1)) + P_a N with P_a = m k^a, so levels a <= 2 are
+    empty.  F(A, x) = |levels <= A in [0, x)| is q G(A, P_A) + G(A, r) with
+    x = q P_A + r, where G(A, r) = F(A-1, r) + |[k, c) not covered below A|,
+    c = min(r, k^(A-1)).  The count is F(min(gamma, nu + 2) - 1, k^nu): a
+    level past nu + 1 adds what level nu + 1 adds.  The points F is read at
+    are collected level by level from the top, then F is filled in from level
+    3 up, so nothing recurses.
+    """
+    top = min(gamma, nu + 2) - 1
+    if top <= 2:
+        return 0
+    points = {top: {k**nu}}
+    for a in range(top, 2, -1):
+        points[a - 1] = set()
+        for x in points[a]:
+            for r in (m * k**a, x % (m * k**a)):
+                points[a - 1].update((r, min(r, k ** (a - 1)), k))
+
+    def g(below, a, r):
+        c = min(r, k ** (a - 1))
+        return below[r] + ((c - k) - (below[c] - below[k]) if c > k else 0)
+
+    counts = dict.fromkeys(points[2], 0)
+    for a in range(3, top + 1):
+        period = m * k**a
+        counts = {x: x // period * g(counts, a, period) + g(counts, a, x % period)
+                  for x in points[a]}
+    return counts[k**nu]
+
+
 def tribonacci_no_triple_ones(length: int) -> int:
     """Binary strings of the given length with no block of three 1s."""
     a, b, c = 1, 2, 4  # lengths 0, 1, 2

@@ -10,57 +10,78 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import asymauto
-from asymauto import acceptance, density
+from asymauto import acceptance, density, smooth
 from asymauto.acceptance import VERIFY_COMMANDS, write_verify_outputs
-from asymauto.cli import (
-    CompressExpr,
-    LeafExpr,
-    PeriodicExpr,
-    ShiftExpr,
-    build_sequence,
-    main,
-    parse_expr,
-)
+from asymauto.cli import build_sequence, main, parse_expr
 from asymauto.errors import ExprError
 from asymauto.seqlib import Sequence
 from helpers import peak_rss_bytes, python_with_peak_rss
 
 
 def test_parse_examples():
-    assert parse_expr("shift:1:two-three") == ShiftExpr(1, LeafExpr("two-three"))
-    assert parse_expr("compress:2:1:0:run-parity") == CompressExpr(
-        2, 1, 0, LeafExpr("run-parity")
-    )
-    assert parse_expr("periodic:0,1,1") == PeriodicExpr((0, 1, 1))
-    nested = parse_expr("shift:2:compress:3:1:2:sqrt-parity")
-    assert nested == ShiftExpr(2, CompressExpr(3, 1, 2, LeafExpr("sqrt-parity")))
+    assert parse_expr("two-three") == (("two-three",),)
+    assert parse_expr("shift:1:two-three") == (("shift", 1), ("two-three",))
+    assert parse_expr("compress:2:1:0:run-parity") == (("compress", 2, 1, 0), ("run-parity",))
+    assert parse_expr("periodic:0,1,1") == (("periodic", (0, 1, 1)),)
+    assert parse_expr("shift:2:compress:3:1:2:sqrt-parity") == (
+        ("shift", 2), ("compress", 3, 1, 2), ("sqrt-parity",))
+    assert parse_expr("shift:0:file:a:b.txt") == (("shift", 0), ("file", "a:b.txt"))
+
+
+# (expression, message, byte offset)
+PARSE_ERRORS = [
+    ("", "empty expression", 0),
+    ("bogus", "unknown constructor 'bogus'", 0),
+    ("shift:1: two-three", "whitespace is not allowed in expressions", 8),
+    ("two-three:junk", "trailing characters after expression", 9),
+    ("compress:2:70:0:two-three:junk", "trailing characters after expression", 25),
+    ("shift:x:two-three", "expected nonnegative integer for shift amount, got 'x'", 6),
+    ("shift:1", "expected ':' and another argument", 7),
+    ("shift:1:", "unknown constructor ''", 8),
+    ("compress:1:x:0:two-three", "base must be >= 2, got 1", 9),
+    ("compress:2:1:2:run-parity", "residue 2 >= 2**1", 13),
+    ("periodic:", "periodic needs a comma-separated value list", 9),
+    ("periodic:1,,2", "bad periodic value ''", 11),
+    ("periodic:0,a", "bad periodic value 'a'", 11),
+    ("file:", "file needs a path", 5),
+]
 
 
 def test_parse_error_offsets():
-    with pytest.raises(ExprError) as e:
-        parse_expr("compress:2:1:2:run-parity")
-    assert "residue 2 >= 2**1" in str(e.value)
-    assert e.value.offset == 13
-    with pytest.raises(ExprError) as e:
-        parse_expr("bogus")
-    assert e.value.offset == 0
-    with pytest.raises(ExprError) as e:
-        parse_expr("shift:1: two-three")
-    assert e.value.offset == 8
-    with pytest.raises(ExprError) as e:
-        parse_expr("two-three:junk")
-    assert e.value.offset == 9
-    with pytest.raises(ExprError) as e:
-        parse_expr("shift:x:two-three")
-    assert e.value.offset == 6
-    with pytest.raises(ExprError):
-        parse_expr("")
-    with pytest.raises(ExprError):
-        parse_expr("periodic:1,,2")
-    with pytest.raises(ExprError):
-        parse_expr("file:")
+    for text, message, offset in PARSE_ERRORS:
+        with pytest.raises(ExprError) as e:
+            parse_expr(text)
+        assert str(e.value) == f"{message} (at offset {offset})", text
+        assert e.value.offset == offset, text
+
+
+def _digits(low: int, high: int):
+    return st.integers(low, high).map(str)  # canonical: no leading zeros
+
+
+_STEPS = st.one_of(
+    st.builds("shift:{}:".format, _digits(1, 10**6)),
+    st.integers(2, 20).flatmap(lambda k: st.integers(0, 8).flatmap(
+        lambda a: st.builds(f"compress:{k}:{a}:{{}}:".format, _digits(0, k**a - 1)))),
+)
+_LEAVES = st.one_of(
+    st.sampled_from(["leading-prime", "run-parity", "sqrt-parity", "file:"]),
+    st.lists(_digits(0, 255), min_size=1, max_size=6).map(lambda v: "periodic:" + ",".join(v)),
+)
+
+
+@given(st.lists(_STEPS, max_size=6), _LEAVES)
+def test_canonical_expression_is_its_name(tmp_path_factory, steps, leaf):
+    # two-three is left out: its name carries the coverage, two-three[limit=...]
+    if leaf == "file:":
+        path = tmp_path_factory.getbasetemp() / "hypothesis-chain.txt"
+        path.write_text("a\nb\n", encoding="utf-8")
+        leaf += str(path)
+    text = "".join(steps) + leaf
+    assert build_sequence(text).name == text
 
 
 def test_build_sequence_file(tmp_path):
@@ -197,6 +218,30 @@ def test_eval_past_coverage_fails_before_filling(capsys, monkeypatch):
     assert counts == [1]
     err = capsys.readouterr().err
     assert "index 5999 reaches leaf index 5999, beyond coverage [0, 5000]" in err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["eval", "--seq", "two-three", "--range", "0:4", "--smooth-limit", str(10**3000)],
+     "range error: table coverage exceeds the 2**63 index range\n"),
+    (["discrepancy", "--f", "sqrt-parity", "--g", "shift:1:two-three",
+      "--smooth-limit", str(1 << 63)],
+     "range error: table coverage exceeds the 2**63 index range\n"),
+    (["smooth", "--first", "10000000"],
+     "range error: 3-smooth table of the first 10000000 entries: 7910000000 bytes exceed"),
+    (["smooth", "--limit", str(10**3000)], "range error: 3-smooth table up to 1000"),
+])
+def test_smooth_tables_refused_before_enumerating(capsys, monkeypatch, argv, err):
+    def refuse(*args):
+        raise AssertionError("enumerated before the check")
+
+    monkeypatch.setattr(smooth, "enumerate_smooth", refuse)
+    monkeypatch.setattr(smooth.SmoothTable, "first", refuse)
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(err) and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_union_budget_refused_in_one_line(capsys):

@@ -36,7 +36,7 @@ from asymauto import (
 from asymauto.density import DiscrepancyProfile, prefix_counts
 from asymauto.seqlib import _max_run_u64, _progression
 
-from helpers import tribonacci_no_triple_ones, union_by_marking_sets
+from helpers import tribonacci_no_triple_ones, union_by_level_arithmetic, union_by_marking_sets
 
 
 def scalar_leaf(fn):
@@ -399,6 +399,30 @@ def test_union_levels_past_nu_match_oracles():
         gamma = rng.randint(nu + 2, 2000)
         res = union_density_experiment(k, m, 1, gamma, nu)
         assert (res.success_p, res.bound) == oracles.union_floor(k, m, gamma), (k, m, gamma)
+
+
+def test_union_level_arithmetic_matches_bitset():
+    # the arithmetic count that can replace the bitset, on criterion 12's two sets and
+    # on 1,000 random normalized sets (k**nu <= 2**16, and <= 2**22 for every 50th)
+    assert union_by_level_arithmetic(4, 1, 12, 12) == 15360048
+    assert union_by_level_arithmetic(8, 3, 15, 9) == 134217720
+    rng = random.Random(16)
+    seen = dict.fromkeys(["covered > 0", "m > 1", "gamma <= 3", "gamma > nu + 1",
+                          "k**nu off the periods"], 0)
+    for i in range(1000):
+        k = rng.randint(3, 12)
+        m = rng.randint(1, (k - 1) // 2)
+        cap = 1 << (22 if i % 50 == 0 else 16)
+        nu = rng.randint(1, max(n for n in range(1, 23) if k**n <= cap))
+        gamma = rng.randint(0, 3) if i % 5 == 0 else rng.randint(4, nu + 4)
+        res = union_density_experiment(k, m, 1, gamma, nu)
+        assert union_by_level_arithmetic(k, m, gamma, nu) == res.covered, (k, m, gamma, nu)
+        seen["covered > 0"] += res.covered > 0
+        seen["m > 1"] += m > 1
+        seen["gamma <= 3"] += gamma <= 3
+        seen["gamma > nu + 1"] += gamma > nu + 1
+        seen["k**nu off the periods"] += any(k**nu % (m * k**a) for a in range(3, gamma))
+    assert min(seen.values()) >= 50, seen
 
 
 def test_union_floor_refused_past_its_digits():

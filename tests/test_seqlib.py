@@ -528,12 +528,21 @@ def test_file_loader_errors_match_splitlines(tmp_path, name):
         assert str(got.value) == str(want.value)
 
 
-def _load_in_child(path) -> int:
-    """Peak RSS in bytes of a child that loads one `file:` sequence."""
+_LOAD = """import sys
+from asymauto import sequence_from_file
+try:
+    sequence_from_file(sys.argv[1])
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def _load_in_child(path) -> tuple:
+    """(peak RSS in bytes, stdout) of a child that loads a `file:` sequence or prints why not."""
     env = dict(os.environ, PYTHONPATH=str(Path(seqlib.__file__).parents[1]))
-    load = "import sys; from asymauto import sequence_from_file; sequence_from_file(sys.argv[1])"
-    argv = python_with_peak_rss("-c", load, str(path))
-    return peak_rss_bytes(subprocess.run(argv, env=env, capture_output=True, check=True).stderr)
+    argv = python_with_peak_rss("-c", _LOAD, str(path))
+    done = subprocess.run(argv, env=env, capture_output=True, check=True, text=True)
+    return peak_rss_bytes(done.stderr), done.stdout
 
 
 @pytest.mark.parametrize("brk", ["\n", "\r", "\u2028"])
@@ -547,8 +556,20 @@ def test_file_memory_stays_near_the_table(tmp_path, brk):
     big, small = tmp_path / "big.txt", tmp_path / "small.txt"
     big.write_bytes(lines.tobytes())
     small.write_bytes(lines[:2000].tobytes())
-    peak, base = _load_in_child(big), _load_in_child(small)
+    (peak, _), (base, _) = _load_in_child(big), _load_in_child(small)
     assert peak - base < 4 * n, (peak, base)
+
+
+def test_file_decode_error_copies_no_prefix(tmp_path):
+    # 40,000 lines of 1,000 bytes: a one-byte table, so the bad last line's error
+    # was the one copy of the 40 MB before it
+    body = (b"a" * 999 + b"\n") * 40_000
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_bytes(body + b"b\n")
+    bad.write_bytes(body + b"\xff\n")
+    (base, _), (peak, err) = _load_in_child(good), _load_in_child(bad)
+    assert err == "'utf-8' codec can't decode byte 0xff in position 40000000: invalid start byte\n"
+    assert peak - base < len(body) // 4, (peak, base)
 
 
 def test_batch_matches_scalar_on_builtins():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from asymauto import RangeError, enumerate_smooth, kronecker_gap, ratio_profile
-from asymauto.smooth import SmoothTable, table_to_csv
+from asymauto.smooth import SmoothTable, first_bytes, limit_bytes, table_to_csv
 
 from helpers import kronecker_pairs_by_fractions, smooth_by_double_loop
 
@@ -18,6 +18,22 @@ def test_enumeration_examples():
 def test_enumeration_matches_double_loop():
     table = enumerate_smooth(10**6)
     assert [(e.value, e.alpha, e.beta) for e in table.entries] == smooth_by_double_loop(10**6)
+
+
+def _value_bytes(entries) -> int:
+    return sum((v.bit_length() + 7) // 8 for v, _, _ in entries)
+
+
+def test_byte_bounds_hold():
+    # the bounds the CLI checks against the budget before enumerating
+    rows = smooth_by_double_loop(10**40)
+    for n in (1, 2, 3, 4, 10, 99, 100, 101, 1000, 5001):
+        assert first_bytes(n) >= _value_bytes(rows[:n]), n
+        assert [e.value for e in SmoothTable.first(n).entries] == [v for v, _, _ in rows[:n]]
+    for limit in (1, 2, 3, 8, 9, 12, 10**6, 3**20, 3**20 - 1, 10**40):
+        below = [row for row in rows if row[0] <= limit]
+        assert limit_bytes(limit) >= _value_bytes(below), limit
+    assert first_bytes(0) == first_bytes(-3) == limit_bytes(0) == limit_bytes(-3) == 0
 
 
 def test_exponent_exactness():

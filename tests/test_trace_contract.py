@@ -25,17 +25,23 @@ def _load_spans():
     return module
 
 
-def test_tracer_counts_a_report(capsys):
+def _main_traced(argv):
+    """(exit code, the spans module, its tracer) of one CLI run under the tracer."""
     spans = _load_spans()
     prog = SimpleNamespace(cli=cli, seqlib=seqlib, density=density, kernel=kernel,
                            cobham=cobham, smooth=smooth)
     tracer = spans.Tracer()
     tracer.install(prog)
     try:
-        rc = cli.main(["report", "--seq", "two-three", "--k", "2", "--l", "3",
-                       "--nmax", "4096", "--tau", "0.25"])
+        rc = cli.main(argv)
     finally:
         tracer.remove()
+    return rc, spans, tracer
+
+
+def test_tracer_counts_a_report(capsys):
+    rc, spans, tracer = _main_traced(["report", "--seq", "two-three", "--k", "2", "--l", "3",
+                                      "--nmax", "4096", "--tau", "0.25"])
     assert rc == 0
     assert "periodic fits" in capsys.readouterr().out
     metrics = spans.layer_metrics(tracer.spans)
@@ -44,4 +50,22 @@ def test_tracer_counts_a_report(capsys):
     assert metrics["kernel.elements_n"] == 71
     # each kernel element is read on its own: one materialize span per element
     assert sum(s.name == "kernel.materialize" for s in tracer.spans) == 71
+    # one parse and one build per expression
+    assert [s.name for s in tracer.spans if s.name in ("cli.parse", "cli.build")] == [
+        "cli.parse", "cli.build"]
     assert not hasattr(cli.cobham_report, "__wrapped__")  # the originals are back
+
+
+def test_tracer_sees_each_expression_and_the_file_load(tmp_path, capsys):
+    path = tmp_path / "labels.txt"
+    path.write_text("0\n1\n" * 64, encoding="utf-8")
+    rc, _, tracer = _main_traced(["discrepancy", "--f", f"shift:1:file:{path}",
+                                  "--g", "sqrt-parity", "--nmax", "64", "--cp-first", "16"])
+    assert rc == 0
+    assert "verdict" in capsys.readouterr().out
+    names = [s.name for s in tracer.spans]
+    assert names.count("cli.parse") == names.count("cli.build") == 2
+    # the file is loaded through cli.sequence_from_file, inside the first build
+    (load,) = [s for s in tracer.spans if s.name == "seqlib.file_load"]
+    assert tracer.spans[load.parent].name == "cli.build"
+    assert not hasattr(cli.sequence_from_file, "__wrapped__")
