@@ -264,7 +264,7 @@ def _cmd_smooth(args) -> int:
         table = smooth.enumerate_smooth(args.limit)
     print(f"entries: {len(table)}  last: {table[len(table) - 1].value}")
     if args.csv is not None:
-        _emit([smooth.table_to_csv(table)], args.csv, _meta(args))
+        _emit(smooth.table_to_csv(table), args.csv, _meta(args))
     if args.ratio_range:
         lo, hi = _parse_range(args.ratio_range)
         prof = smooth.ratio_profile(table, lo, hi)

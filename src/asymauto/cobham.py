@@ -60,7 +60,6 @@ class PeriodicFit:
 
     period: int
     symbols: tuple  # fitted symbol index per residue class
-    labels: tuple  # same, rendered through the alphabet
     margins: tuple  # per-residue (top - runner_up) / residue_count
     profile: DiscrepancyProfile
     verdict: Verdict
@@ -134,7 +133,6 @@ def _fit(f: Sequence, counts: tuple, q: int, cps: Checkpoints, policy) -> Period
     return PeriodicFit(
         period=q,
         symbols=tuple(int(s) for s in symbols),
-        labels=tuple(f.alphabet[int(s)] for s in symbols),
         margins=tuple(float(m) for m in margins),
         profile=profile,
         verdict=v,

@@ -4,11 +4,11 @@ Everything here is an exact count at explicit finite checkpoints; nothing
 claims a limit.  One type holds such counts, `DiscrepancyProfile`: the
 disagreements of two sequences, or the ones of an indicator (a density
 estimate).  A profile plus a declared verdict policy is the strongest
-statement the package makes.  Every count at checkpoints is summed by one
-serial scan, `prefix_counts`, chunk by chunk, so its working memory does not
-grow with N.  Every table the package builds (value tables, the kernel's
-packed words and pairwise matrix, the union bitset) is checked against one
-budget first.
+statement the package makes.  Every count at checkpoints, the kernel's
+pairwise matrix included, is summed by one serial scan, `prefix_counts`, chunk
+by chunk, so its working memory does not grow with N.  Every table the package
+builds (value tables, the kernel's packed words and its pairwise matrices at
+the checkpoints, the union bitset) is checked against one budget first.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .errors import RangeError
 from .seqlib import Sequence
 
 _SCAN_CHUNK = 1 << 18
-# the most any one table may take, checked before allocating: bytes of a value
-# table or of the kernel's packed words or pairwise matrix, bits of the union bitset
+# the most any one table may take, checked before allocating: bytes of a value table,
+# of the kernel's packed words or of its pairwise matrices, bits of the union bitset
 _BUDGET = 1 << 31
 
 

@@ -4,12 +4,12 @@ Kernel elements n -> f(k**a n + r) for a <= depth are clustered greedily in
 (a, r) order: an element joins the first class whose representative disagrees
 with it on at most tau * N_final points, otherwise it founds a class.  Greedy
 first-fit over a fixed order keeps results reproducible even though empirical
-discrepancy is only a pseudo-metric.  The full pairwise count matrix, which
-the clustering reads, is kept alongside for audit; it is computed on the bit
-planes of the symbol indices packed into uint64 words, so every alphabet size
-takes the same XOR, OR and popcount path.  The packed words and the matrix do
-not depend on tau (`kernel_words`), so one build serves clusterings at any
-number of thresholds (`cluster_words`).
+discrepancy is only a pseudo-metric.  One `prefix_counts` scan of the symbol
+indices' bit planes, packed into uint64 words, counts the pairwise matrix at
+each checkpoint; every alphabet size takes the same XOR, OR and popcount path.
+The clustering reads the last matrix, and each profile is read off the matrices
+at the element's class representative, with no second pass.  The matrices do
+not depend on tau (`kernel_words`), so one build serves every tau (`cluster_words`).
 """
 
 from __future__ import annotations
@@ -88,15 +88,14 @@ _TILE_WORDS = 1 << 10
 
 @dataclass(frozen=True)
 class KernelWords:
-    """The tau-free part of a kernel quotient: elements, packed bit planes, pairwise counts."""
+    """The tau-free part of a kernel quotient: elements and their pairwise counts."""
 
     source: str
     base: int
     depth: int
     checkpoints: Checkpoints
     order: list  # (alpha, r) of each element
-    packed: np.ndarray = field(repr=False)  # (elements, planes, words) uint64
-    matrix: np.ndarray = field(repr=False)  # pairwise counts at the final checkpoint
+    matrices: tuple = field(repr=False)  # pairwise counts at each checkpoint
 
 
 def _pack_planes(v: np.ndarray, out: np.ndarray) -> None:
@@ -110,23 +109,16 @@ def _pack_planes(v: np.ndarray, out: np.ndarray) -> None:
         as_bytes[p, :nbytes] = np.packbits(v & (1 << p), bitorder="little")
 
 
-def _differ(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Words whose set bits are the positions where x and y differ: XOR, OR over planes."""
-    return np.bitwise_or.reduce(x ^ y, axis=-2)
-
-
-def _count_bits(words: np.ndarray, lo: int, hi: int) -> int:
-    """Set bits at positions [lo, hi) of `words`, LSB first: a popcount of the words it
-    spans, less the bits of the first word below lo and of the last word from hi on."""
-    first, last = lo >> 6, (hi - 1) >> 6
-    total = int(np.bitwise_count(words[first : last + 1]).sum())
-    below = int(words[first]) & ((1 << (lo & 63)) - 1)
-    above = int(words[last]) >> (((hi - 1) & 63) + 1)
-    return total - below.bit_count() - above.bit_count()
+def _span_words(packed: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """A copy of the words of packed covering positions [lo, hi), the bits outside cleared."""
+    words = packed[..., lo >> 6 : ((hi - 1) >> 6) + 1].copy()
+    words[..., 0] &= ~np.uint64((1 << (lo & 63)) - 1)
+    words[..., -1] &= np.uint64((1 << (((hi - 1) & 63) + 1)) - 1)
+    return words
 
 
 def _pairwise_counts(packed: np.ndarray) -> np.ndarray:
-    """Positions where two elements differ, by popcount of the differ words, tile by tile."""
+    """Upper triangle of the positions where two elements differ, by popcount, tile by tile."""
     d, planes, words = packed.shape
     matrix = np.zeros((d, d), dtype=np.int64)
     for lo in range(0, words, _TILE_WORDS):
@@ -136,17 +128,14 @@ def _pairwise_counts(packed: np.ndarray) -> np.ndarray:
             x = np.bitwise_xor(tile[i + 1 :], tile[i], out=xor[i + 1 :])
             differ = x[:, 0] if planes == 1 else np.bitwise_or.reduce(x, axis=1)
             matrix[i, i + 1 :] += np.bitwise_count(differ).sum(axis=1, dtype=np.int64)
-    for i in range(d - 1):
-        matrix[i + 1 :, i] = matrix[i, i + 1 :]
     return matrix
 
 
 def kernel_words(f: Sequence, k: int, depth: int, cps: Checkpoints) -> KernelWords:
-    """Every kernel element of f to depth on [0, cps.final), packed, and their pairwise counts.
+    """Pairwise counts of every kernel element of f to depth at each checkpoint of cps.
 
-    Each element is read on its own and packed right away, so at most one
-    value table is alive at a time.  The matrix, the compare work and the
-    packed words are checked against the budget before anything is evaluated.
+    Elements are read and packed one at a time, so at most one value table is
+    alive at once; the packed words go on return, and only the d x d matrices stay.
     """
     if k < 2:
         raise ValueError(f"base must be >= 2, got {k}")
@@ -167,12 +156,17 @@ def kernel_words(f: Sequence, k: int, depth: int, cps: Checkpoints) -> KernelWor
     check_budget(d * (d - 1) // 2 * planes * words, "word compares", what)
     check_budget(8 * d * planes * words, "bytes",
                  f"packed bit planes of the {d} kernel elements to depth {depth}")
+    check_budget(8 * d * d * len(cps), "bytes",
+                 f"pairwise matrices of the {d} kernel elements at {len(cps)} checkpoints")
 
     order = _element_order(k, depth)
     packed = np.zeros((d, planes, words), dtype="<u8")
     for i, (a, r) in enumerate(order):
         _pack_planes(sequence_values(compress(f, k, a, r), n_final), packed[i])
-    return KernelWords(f.name, k, depth, cps, order, packed, _pairwise_counts(packed))
+    matrices = prefix_counts(lambda lo, hi: _pairwise_counts(_span_words(packed, lo, hi)), cps)
+    for m in matrices:
+        m += m.T  # each holds its upper triangle: symmetrise in place, one at a time
+    return KernelWords(f.name, k, depth, cps, order, matrices)
 
 
 def _check_tau(tau: float) -> None:
@@ -183,10 +177,9 @@ def _check_tau(tau: float) -> None:
 def cluster_words(kw: KernelWords, tau: float) -> KernelQuotient:
     """Greedy first-fit clustering of the elements of kw at threshold tau * N_final."""
     _check_tau(tau)
-    order, packed, matrix, cps = kw.order, kw.packed, kw.matrix, kw.checkpoints
-    n_final = cps.final
-    threshold = tau * n_final
-    reps: list = []  # indices into `order`/`packed`
+    order, cps, matrix = kw.order, kw.checkpoints, kw.matrices[-1]
+    threshold = tau * cps.final
+    reps: list = []  # indices into `order`
     assignment: list = []
     classes_by_depth = []
     level = 0
@@ -211,10 +204,8 @@ def cluster_words(kw: KernelWords, tau: float) -> KernelQuotient:
         KernelClass(order[ri], tuple(ms)) for ri, ms in zip(reps, members)
     )
 
-    profiles = {}
-    for i, er in enumerate(order):
-        differ = _differ(packed[i], packed[reps[assignment[i]]])
-        profiles[er] = prefix_counts(lambda lo, hi: _count_bits(differ, lo, hi), cps)
+    profiles = {er: tuple(int(m[i, reps[cid]]) for m in kw.matrices)
+                for i, (er, cid) in enumerate(zip(order, assignment))}
 
     return KernelQuotient(
         source=kw.source,

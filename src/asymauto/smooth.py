@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import RangeError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmoothEntry:
     """One table row: value = 2**alpha * 3**beta exactly."""
 
@@ -90,7 +90,8 @@ def first_bytes(count: int) -> int:
 
     With s = isqrt(count), the (s + 1)**2 > count pairs (a, b) with
     a + 2b <= 2s give values 2**a 3**b <= 2**(2s), so each of the first
-    `count` entries has at most 2s + 1 bits.
+    `count` entries has at most 2s + 1 bits.  The bound counts value bytes
+    only, not the `SmoothEntry` objects that hold them.
     """
     if count < 1:
         return 0
@@ -153,10 +154,6 @@ class GapPair:
     delta: int
     numerator: int
     denominator: int
-
-    @property
-    def decimal(self) -> float:
-        return self.numerator / self.denominator
 
 
 @dataclass(frozen=True)
@@ -232,14 +229,13 @@ def kronecker_to_json(gaps: KroneckerGaps) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def table_to_csv(table: SmoothTable) -> str:
-    """CSV rows index,H,alpha,beta,ratio_to_next (last ratio left empty)."""
-    rows = ["index,H,alpha,beta,ratio_to_next"]
+def table_to_csv(table: SmoothTable):
+    """CSV rows index,H,alpha,beta,ratio_to_next (last ratio left empty), one at a time."""
+    yield "index,H,alpha,beta,ratio_to_next\n"
     for i in range(len(table)):
         e = table[i]
         if i + 1 < len(table):
             ratio = repr(table[i + 1].value / e.value)
         else:
             ratio = ""
-        rows.append(f"{i},{e.value},{e.alpha},{e.beta},{ratio}")
-    return "\n".join(rows) + "\n"
+        yield f"{i},{e.value},{e.alpha},{e.beta},{ratio}\n"

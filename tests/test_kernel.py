@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from asymauto import (
     cluster_kernel,
     enumerate_kernel,
     enumerate_smooth,
+    kernel_words,
     label_word,
     quotient_to_json,
     seq_leading_prime,
@@ -20,6 +22,7 @@ from asymauto import (
     seq_two_three,
     sequence_from_file,
 )
+from asymauto.cli import main
 
 from helpers import disagreements, kernel_elements_by_loop
 
@@ -154,13 +157,16 @@ def test_packed_matrix_and_profiles_match_direct_counts(tmp_path, n_sym, k, dept
     f = sequence_from_file(path)
     assert len(f.alphabet) == n_sym
     q = cluster_kernel(f, k, depth, cps, 0.2)
+    matrices = kernel_words(f, k, depth, cps).matrices
 
     elements = kernel_elements_by_loop(values, k, depth, n)
     order = list(elements)
     assert q.matrix.dtype == np.int64
+    assert len(matrices) == len(cps) and np.array_equal(matrices[-1], q.matrix)
     for i, u in enumerate(order):
         for j, v in enumerate(order):
-            assert q.matrix[i, j] == disagreements(elements[u], elements[v], n), (u, v)
+            for m, matrix in zip(cps, matrices):
+                assert matrix[i, j] == disagreements(elements[u], elements[v], m), (u, v, m)
     # the greedy first-fit over the direct counts, and each profile against its rep
     reps = []
     for i, er in enumerate(order):
@@ -174,20 +180,6 @@ def test_packed_matrix_and_profiles_match_direct_counts(tmp_path, n_sym, k, dept
         assert q.profiles[er] == tuple(disagreements(elements[er], rep, m) for m in cps)
     assert (q.class_count == 1) is (n_sym == 1)
     assert any(counts[-1] for counts in q.profiles.values()) is (n_sym > 1)
-
-
-def test_count_bits_matches_unpacked_count():
-    rng = np.random.default_rng(11)
-    words = rng.integers(0, 1 << 63, 40, dtype=np.uint64)
-    words |= rng.integers(0, 2, 40, dtype=np.uint64) << np.uint64(63)
-    words[5] = 0
-    words[6] = np.uint64(2**64 - 1)
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    spans = [(0, 64), (0, 1), (63, 64), (64, 128), (3, 60), (60, 70), (5, 2560), (0, 2560),
-             (320, 448), (383, 385)]
-    spans += [tuple(sorted(rng.choice(2561, 2, replace=False).tolist())) for _ in range(300)]
-    for lo, hi in spans:
-        assert kernel_mod._count_bits(words, lo, hi) == int(bits[lo:hi].sum()), (lo, hi)
 
 
 def test_kernel_budget_checked_before_allocating(monkeypatch):
@@ -230,3 +222,28 @@ def test_kernel_matrix_checked_before_allocating(monkeypatch):
     monkeypatch.setattr(kernel_mod, "_element_order", refuse)
     with pytest.raises(RangeError, match="pairwise matrix of the 32767 kernel elements.*budget"):
         cluster_kernel(two_three(), 2, 14, Checkpoints((64,)), 0.25)
+
+
+def test_kernel_checkpoint_matrices_checked_before_evaluating(monkeypatch, capsys):
+    # 14425 elements in base 24 to depth 3 pass the other checks at N = 1030, but
+    # their matrices at the 2 checkpoints 1024 and 1030 take 3.3 GB
+    def refuse(*args):
+        raise AssertionError("evaluated before the budget check")
+
+    monkeypatch.setattr(kernel_mod, "sequence_values", refuse)
+    argv = ["kernel", "--seq", "run-parity", "--base", "24", "--depth", "3", "--nmax", "1030"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("range error: pairwise matrices of the 14425 kernel elements at "
+                          "2 checkpoints: 3329290000 bytes exceed the budget")
+
+
+def test_kernel_words_hold_no_table_sized_by_n():
+    # the packed planes cover all N positions; only the d x d matrices outlive the scan
+    cps = Checkpoints((1000, 65536, 70001))
+    kw = kernel_words(seq_sqrt_parity(), 2, 2, cps)
+    held = [getattr(kw, fl.name) for fl in dataclasses.fields(kw)]
+    arrays = [a for v in held for a in (v if isinstance(v, tuple) else (v,))
+              if isinstance(a, np.ndarray)]
+    assert len(arrays) == len(cps) and all(a.shape == (7, 7) for a in arrays)

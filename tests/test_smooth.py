@@ -126,7 +126,7 @@ def test_kronecker_failure_is_loud():
 
 
 def test_csv_export():
-    text = table_to_csv(enumerate_smooth(12))
+    text = "".join(table_to_csv(enumerate_smooth(12)))
     lines = text.strip().split("\n")
     assert lines[0] == "index,H,alpha,beta,ratio_to_next"
     assert len(lines) == 9
