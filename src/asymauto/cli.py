@@ -311,11 +311,12 @@ def _expect_exit(args, v) -> int:
 
 
 def _cmd_discrepancy(args) -> int:
+    policy = _policy(args)  # refuse a bad policy before the scan
     builder = SequenceBuilder(args.smooth_limit)
     f = builder.build(parse_expr(args.f))
     g = builder.build(parse_expr(args.g))
     profile = discrepancy_profile(f, g, _checkpoints(args))
-    v = verdict(profile, _policy(args))
+    v = verdict(profile, policy)
     _profile_output(args, profile, v)
     return _expect_exit(args, v)
 
@@ -339,7 +340,7 @@ def _cmd_kernel(args) -> int:
     for cid, c in enumerate(q.classes):
         print(f"  class {cid}: rep (alpha={c.rep[0]}, r={c.rep[1]}), members {len(c.members)}")
     if args.json is not None:
-        _emit([quotient_to_json(q, violations)], args.json, _meta(args))
+        _emit(quotient_to_json(q, violations), args.json, _meta(args))
     return 0
 
 

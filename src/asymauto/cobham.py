@@ -175,17 +175,13 @@ def multiplicatively_independent(k: int, l: int) -> bool:
     """True unless k and l are integer powers of one common base."""
     if k < 2 or l < 2:
         raise ValueError("bases must be >= 2")
-    for p in range(1, 64):
-        kp = k**p
-        if kp.bit_length() > 4096:
-            break
-        for s in range(1, 64):
-            ls = l**s
-            if ls > kp:
-                break
-            if ls == kp:
-                return False
-    return True
+    # powers of one base divide each other, and so do their quotients: reduce as in Euclid
+    while k != l:
+        k, l = min(k, l), max(k, l)
+        if l % k:
+            return True
+        l //= k
+    return False
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -190,6 +191,11 @@ class VerdictPolicy:
 
     tau: float = 1e-3
     rho: float = 1.2
+
+    def __post_init__(self):
+        for name, x in (("tau", self.tau), ("rho", self.rho)):
+            if not math.isfinite(x):
+                raise ValueError(f"{name} must be finite, got {x}")
 
 
 def verdict(profile: DiscrepancyProfile, policy: VerdictPolicy = VerdictPolicy()) -> Verdict:

@@ -5,8 +5,9 @@ Kernel elements n -> f(k**a n + r) for a <= depth are clustered greedily in
 with it on at most tau * N_final points, otherwise it founds a class.  Greedy
 first-fit over a fixed order keeps results reproducible even though empirical
 discrepancy is only a pseudo-metric.  One `prefix_counts` scan of the symbol
-indices' bit planes, packed into uint64 words, counts the pairwise matrix at
-each checkpoint; every alphabet size takes the same XOR, OR and popcount path.
+indices' bit planes, packed into uint64 words, counts the pairwise matrix at each
+checkpoint: each span's words are XORed where they lie, with no copy, and the edge
+words of each result masked; every alphabet size takes that XOR, OR and popcount path.
 The clustering reads the last matrix, and each profile is read off the matrices
 at the element's class representative, with no second pass.  The matrices do
 not depend on tau (`kernel_words`), so one build serves every tau (`cluster_words`).
@@ -81,11 +82,6 @@ class KernelQuotient:
         return "growing"
 
 
-# uint64 words of one column tile of the pairwise matrix: all d rows of a tile
-# stay in cache while every pair is compared on it
-_TILE_WORDS = 1 << 10
-
-
 @dataclass(frozen=True)
 class KernelWords:
     """The tau-free part of a kernel quotient: elements and their pairwise counts."""
@@ -109,25 +105,25 @@ def _pack_planes(v: np.ndarray, out: np.ndarray) -> None:
         as_bytes[p, :nbytes] = np.packbits(v & (1 << p), bitorder="little")
 
 
-def _span_words(packed: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """A copy of the words of packed covering positions [lo, hi), the bits outside cleared."""
-    words = packed[..., lo >> 6 : ((hi - 1) >> 6) + 1].copy()
-    words[..., 0] &= ~np.uint64((1 << (lo & 63)) - 1)
-    words[..., -1] &= np.uint64((1 << (((hi - 1) & 63) + 1)) - 1)
-    return words
+def _pairwise_counts(packed: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Positions of [lo, hi) where two elements differ: popcount of the XOR of their words.
 
-
-def _pairwise_counts(packed: np.ndarray) -> np.ndarray:
-    """Upper triangle of the positions where two elements differ, by popcount, tile by tile."""
-    d, planes, words = packed.shape
+    The words covering the span are XORed where they lie in packed; the bits
+    outside it are cleared in the first and last word of each XOR result.
+    """
+    words = packed[..., lo >> 6 : ((hi - 1) >> 6) + 1]
+    first = ~np.uint64((1 << (lo & 63)) - 1)
+    last = np.uint64((1 << (((hi - 1) & 63) + 1)) - 1)
+    d, planes = words.shape[:2]
     matrix = np.zeros((d, d), dtype=np.int64)
-    for lo in range(0, words, _TILE_WORDS):
-        tile = np.ascontiguousarray(packed[..., lo : lo + _TILE_WORDS])
-        xor = np.empty_like(tile)
-        for i in range(d - 1):
-            x = np.bitwise_xor(tile[i + 1 :], tile[i], out=xor[i + 1 :])
-            differ = x[:, 0] if planes == 1 else np.bitwise_or.reduce(x, axis=1)
-            matrix[i, i + 1 :] += np.bitwise_count(differ).sum(axis=1, dtype=np.int64)
+    xor = np.empty_like(words[1:])
+    for i in range(d - 1):
+        x = np.bitwise_xor(words[i + 1 :], words[i], out=xor[i:])
+        differ = x[:, 0] if planes == 1 else np.bitwise_or.reduce(x, axis=1)
+        differ[:, 0] &= first
+        differ[:, -1] &= last
+        row = np.bitwise_count(differ).sum(axis=1, dtype=np.int64)
+        matrix[i, i + 1 :] = matrix[i + 1 :, i] = row
     return matrix
 
 
@@ -163,9 +159,7 @@ def kernel_words(f: Sequence, k: int, depth: int, cps: Checkpoints) -> KernelWor
     packed = np.zeros((d, planes, words), dtype="<u8")
     for i, (a, r) in enumerate(order):
         _pack_planes(sequence_values(compress(f, k, a, r), n_final), packed[i])
-    matrices = prefix_counts(lambda lo, hi: _pairwise_counts(_span_words(packed, lo, hi)), cps)
-    for m in matrices:
-        m += m.T  # each holds its upper triangle: symmetrise in place, one at a time
+    matrices = prefix_counts(lambda lo, hi: _pairwise_counts(packed, lo, hi), cps)
     return KernelWords(f.name, k, depth, cps, order, matrices)
 
 
@@ -181,12 +175,7 @@ def cluster_words(kw: KernelWords, tau: float) -> KernelQuotient:
     threshold = tau * cps.final
     reps: list = []  # indices into `order`
     assignment: list = []
-    classes_by_depth = []
-    level = 0
-    for i, (a, r) in enumerate(order):
-        while a > level:
-            classes_by_depth.append(len(reps))
-            level += 1
+    for i in range(len(order)):
         for cid, ri in enumerate(reps):
             if matrix[i, ri] <= threshold:
                 assignment.append(cid)
@@ -194,7 +183,8 @@ def cluster_words(kw: KernelWords, tau: float) -> KernelQuotient:
         else:
             assignment.append(len(reps))
             reps.append(i)
-    classes_by_depth.append(len(reps))
+    # reps are founded in (a, r) order, so those at depth <= a are the classes after level a
+    classes_by_depth = tuple(sum(order[ri][0] <= a for ri in reps) for a in range(kw.depth + 1))
 
     labels = {er: cid for er, cid in zip(order, assignment)}
     members: list = [[] for _ in reps]
@@ -217,7 +207,7 @@ def cluster_words(kw: KernelWords, tau: float) -> KernelQuotient:
         labels=labels,
         profiles=profiles,
         matrix=matrix,
-        classes_by_depth=tuple(classes_by_depth),
+        classes_by_depth=classes_by_depth,
     )
 
 
@@ -284,8 +274,8 @@ def _word_text(k: int, a: int, r: int) -> str:
     return expand_padded(r, k, a).text(empty="")
 
 
-def quotient_to_json(q: KernelQuotient, violations=None) -> str:
-    """Machine export: classes, labels keyed by padded word, audit matrix."""
+def quotient_to_json(q: KernelQuotient, violations=None):
+    """Machine export in text pieces: classes, labels keyed by padded word, audit matrix by row."""
     if violations is None:
         violations = check_labeling_consistency(q)
     obj = {
@@ -317,6 +307,13 @@ def quotient_to_json(q: KernelQuotient, violations=None) -> str:
             }
             for v in violations
         ],
-        "pairwise_final_counts": q.matrix.tolist(),
+        "pairwise_final_counts": 0,
     }
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # the pieces join to json.dumps(obj) of the whole matrix; strings escape their quotes,
+    # so only the key itself matches
+    head, tail = json.dumps(obj, sort_keys=True, indent=2).split('"pairwise_final_counts": 0')
+    yield head + '"pairwise_final_counts": ['
+    for i, row in enumerate(q.matrix):
+        counts = ",\n      ".join(map(str, row.tolist()))
+        yield f"{',' if i else ''}\n    [\n      {counts}\n    ]"
+    yield "\n  ]" + tail + "\n"

@@ -300,6 +300,17 @@ def test_huge_powers_refused_before_computing_them(argv, err):
     (["smooth", "--limit", "12", "--kronecker", "1/0"], "error: tolerance '1/0' has a zero denominator"),
     (["verify", "--criteria", "99"], "error: --criteria takes ids among 1, 2, 3,"),
     (["verify", "--criteria", ","], "error: --criteria takes ids among 1, 2, 3,"),
+    # a non-finite threshold used to pass silently: with tau nan every verdict was Inconclusive
+    (["discrepancy", "--f", "two-three", "--g", "two-three", "--tau", "nan", "--nmax", "4096"],
+     "error: tau must be finite, got nan"),
+    (["discrepancy", "--f", "two-three", "--g", "two-three", "--rho", "nan", "--nmax", "4096"],
+     "error: rho must be finite, got nan"),
+    (["periodic-fit", "--seq", "two-three", "--tau", "inf", "--n", "4096"],
+     "error: tau must be finite, got inf"),
+    (["shift", "--seq", "two-three", "--m", "1", "--rho", "inf", "--nmax", "4096"],
+     "error: rho must be finite, got inf"),
+    (["report", "--seq", "two-three", "--k", "2", "--l", "3", "--tau", "nan", "--nmax", "4096"],
+     "error: tau must be finite, got nan"),
 ])
 def test_bad_option_values_are_usage_errors(capsys, monkeypatch, tmp_path, argv, err):
     monkeypatch.chdir(tmp_path)  # where a verify run would write its outputs

@@ -162,6 +162,20 @@ def test_multiplicative_independence():
     assert not multiplicatively_independent(4, 8)
     assert not multiplicatively_independent(9, 27)
     assert multiplicatively_independent(6, 12)
+    # exponents past 63 and powers past 4096 bits
+    assert not multiplicatively_independent(2, 2**64)
+    assert not multiplicatively_independent(2**64, 2**65)
+    assert not multiplicatively_independent(2**5000, 2**5001)
+    assert multiplicatively_independent(2**5000, 3 * 2**5000)
+
+
+def test_multiplicative_independence_matches_exponent_search():
+    # k and l are powers of one base exactly when k**b == l**a for some a, b >= 1;
+    # below 64, a and b need not pass 6
+    for k in range(2, 64):
+        for l in range(2, 64):
+            dependent = any(k**b == l**a for a in range(1, 7) for b in range(1, 7))
+            assert multiplicatively_independent(k, l) is not dependent, (k, l)
 
 
 def test_report_two_three():

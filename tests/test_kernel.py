@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import asymauto.density as density_mod
 import asymauto.kernel as kernel_mod
 from asymauto import (
     Checkpoints,
@@ -24,7 +28,7 @@ from asymauto import (
 )
 from asymauto.cli import main
 
-from helpers import disagreements, kernel_elements_by_loop
+from helpers import disagreements, kernel_elements_by_loop, peak_rss_bytes, python_with_peak_rss
 
 CPS18 = Checkpoints.geometric(1 << 10, 1 << 18)
 
@@ -119,7 +123,7 @@ def test_overflow_rejected():
 
 def test_quotient_json_roundtrip():
     q = cluster_kernel(two_three(), 2, 2, CPS18, 0.25)
-    obj = json.loads(quotient_to_json(q))
+    obj = json.loads("".join(quotient_to_json(q)))
     assert obj["base"] == 2
     assert obj["depth"] == 2
     assert obj["tau"] == 0.25
@@ -132,14 +136,43 @@ def test_quotient_json_roundtrip():
     assert obj["classes"][0]["representative"] == {"alpha": 0, "r": 0}
 
 
+@pytest.mark.parametrize("depth", [0, 2, 4])
+def test_quotient_json_is_written_row_by_row(depth):
+    # d = 1, 7 and 31 elements: the pieces join to json.dumps(sort_keys=True, indent=2)
+    q = cluster_kernel(two_three(), 2, depth, CPS18, 0.25)
+    pieces = list(quotient_to_json(q))
+    text = "".join(pieces)
+    obj = json.loads(text)
+    assert text == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert obj["pairwise_final_counts"] == q.matrix.tolist()
+    assert len(pieces) == len(q.matrix) + 2
+
+
+def test_kernel_json_memory_stays_near_the_matrix(tmp_path):
+    # d = 1023 at N = 1024: an 8 MiB matrix, which as one Python list of lists for
+    # json.dumps took about 100 MiB more than the same command without --json
+    env = dict(os.environ, PYTHONPATH=str(Path(kernel_mod.__file__).parents[1]))
+
+    def peak(*extra):
+        argv = python_with_peak_rss("-m", "asymauto.cli", "kernel", "--seq", "two-three",
+                                    "--base", "2", "--depth", "9", "--nmax", "1024", *extra)
+        run = subprocess.run(argv, capture_output=True, env=env, check=True)
+        return peak_rss_bytes(run.stderr)
+
+    path = tmp_path / "q.json"
+    with_json, plain = peak("--json", str(path)), peak()
+    assert len(json.loads(path.read_text(encoding="utf-8").split("\n", 1)[1])["labels"]) == 1023
+    assert with_json < 1.25 * plain, (with_json, plain)
+
+
 @pytest.mark.parametrize("n_sym", [1, 2, 3, 5, 256])
 @pytest.mark.parametrize("k,depth,cps", [
     # N = 1237 is not a multiple of 64
     pytest.param(2, 3, Checkpoints((100, 640, 1237)), id="2-3"),
     pytest.param(3, 2, Checkpoints((100, 640, 1237)), id="3-2"),
-    # N = 70001 positions are 1094 words: one full 1024-word tile of the matrix
-    # and a ragged one of 70
-    pytest.param(2, 2, Checkpoints((1000, 65536, 70001)), id="2-2-ragged-tile"),
+    # the spans start mid-word (1000) and on a word (65536) and end mid-word
+    # (70001), so both edge masks of the XOR results are exercised
+    pytest.param(2, 2, Checkpoints((1000, 65536, 70001)), id="2-2-span-edges"),
 ])
 def test_packed_matrix_and_profiles_match_direct_counts(tmp_path, n_sym, k, depth, cps):
     # 1 to 8 bit planes; two noisy alternating patterns make classes with
@@ -180,6 +213,29 @@ def test_packed_matrix_and_profiles_match_direct_counts(tmp_path, n_sym, k, dept
         assert q.profiles[er] == tuple(disagreements(elements[er], rep, m) for m in cps)
     assert (q.class_count == 1) is (n_sym == 1)
     assert any(counts[-1] for counts in q.profiles.values()) is (n_sym > 1)
+
+
+@pytest.mark.parametrize("n_sym", [2, 5])
+def test_matrices_match_numpy_counts_across_a_mid_word_chunk(tmp_path, n_sym):
+    # the span [1000, 300001) is scanned in two chunks, split at 1000 + 2**18 = 263144,
+    # 40 bits into a word: both chunks mask that word, each keeping its own bits
+    cps = Checkpoints((1000, 300001))
+    assert (1000 + density_mod._SCAN_CHUNK) % 64 == 40
+    k, depth, n = 2, 2, cps.final
+    values = np.random.default_rng(n_sym).integers(0, n_sym, k**depth * n)
+    values[-n_sym:] = np.arange(n_sym)  # every symbol occurs
+    path = tmp_path / "seq.txt"
+    path.write_text("".join(f"s{v}\n" for v in values.tolist()), encoding="utf-8")
+    f = sequence_from_file(path)
+    assert len(f.alphabet) == n_sym
+    matrices = kernel_words(f, k, depth, cps).matrices
+
+    # element (a, r) is n -> f(k**a n + r): every k**a-th value from r
+    order = [(a, r) for a in range(depth + 1) for r in range(k**a)]
+    tables = [values[r :: k**a][:n] for a, r in order]
+    for m, matrix in zip(cps, matrices):
+        want = [[np.count_nonzero(u[:m] != v[:m]) for v in tables] for u in tables]
+        assert matrix.tolist() == want, m
 
 
 def test_kernel_budget_checked_before_allocating(monkeypatch):
