@@ -35,7 +35,6 @@ from .density import (
 from .digits import expand, expand_padded, value
 from .kernel import check_labeling_consistency, cluster_words, kernel_words
 from .seqlib import (
-    Sequence,
     compress,
     duplicate,
     leading_ones,
@@ -46,17 +45,13 @@ from .seqlib import (
     seq_leading_prime,
     seq_run_parity,
     seq_sqrt_parity,
+    seq_two_three,
     _leading_ones_u64,
     _max_run_u64,
 )
 
 _CPS_20 = Checkpoints.geometric(1 << 10, 1 << 20)
 _CPS_1E6 = Checkpoints.geometric(1 << 10, 10**6)
-
-
-@functools.cache
-def _two_three() -> Sequence:
-    return cli.build_sequence("two-three")
 
 
 @functools.cache
@@ -214,7 +209,7 @@ _TRIPLE_MISMATCH_2_20 = 28574
 
 
 def check_two_three_values():
-    f = _two_three()
+    f = seq_two_three()
     got = [f.label(n) for n in range(12)]
     if got != _TWO_THREE_FIRST_12:
         return False, f"values on [0,12) are {got}"
@@ -222,7 +217,7 @@ def check_two_three_values():
 
 
 def check_two_three_shift():
-    f = _two_three()
+    f = seq_two_three()
     profile = shift_invariance(f, 1, _CPS_20).profile
     count = profile.counts[-1]
     cap = (math.log(1 << 20)) ** 2 / (math.log(2) * math.log(3))
@@ -234,7 +229,7 @@ def check_two_three_shift():
 
 
 def check_two_three_compressions():
-    f = _two_three()
+    f = seq_two_three()
     n = _CPS_20.final
     # over two symbols, f(kn) != -f(n) exactly where f(kn) == f(n)
     c2 = n - discrepancy_profile(compress(f, 2, 1, 0), f, _CPS_20).counts[-1]
@@ -259,7 +254,7 @@ def check_kernel_leading_prime():
 
 
 def check_kernel_two_three_base2():
-    q = _quotient(_two_three, 2, 5, 1e-2)
+    q = _quotient(seq_two_three, 2, 5, 1e-2)
     if q.class_count != 2:
         return False, (
             f"base 2 depth 5 at stated tau=1e-2 gives {q.class_count} classes, "
@@ -270,7 +265,7 @@ def check_kernel_two_three_base2():
 
 
 def check_kernel_two_three_base3():
-    q = _quotient(_two_three, 3, 4, 1e-2)
+    q = _quotient(seq_two_three, 3, 4, 1e-2)
     if q.class_count != 2:
         return False, (
             f"base 3 depth 4 at stated tau=1e-2 gives {q.class_count} classes, "
@@ -280,8 +275,8 @@ def check_kernel_two_three_base3():
 
 
 def check_kernel_two_three_derived_tau():
-    q2 = _quotient(_two_three, 2, 5, 0.25)
-    q3 = _quotient(_two_three, 3, 4, 0.25)
+    q2 = _quotient(seq_two_three, 2, 5, 0.25)
+    q3 = _quotient(seq_two_three, 3, 4, 0.25)
     ok = q2.class_count == 2 and q3.class_count == 2
     return ok, (
         f"at the oracle-derived tau=0.25 the sign structure appears: "
@@ -298,7 +293,7 @@ def check_kernel_sqrt_parity():
 
 def check_kernel_consistency():
     v1 = check_labeling_consistency(_quotient(seq_leading_prime, 2, 4, 1e-2))
-    v2 = check_labeling_consistency(_quotient(_two_three, 2, 5, 1e-2))
+    v2 = check_labeling_consistency(_quotient(seq_two_three, 2, 5, 1e-2))
     ok = not v1 and not v2
     return ok, f"digit-extension consistency violations: {len(v1)} and {len(v2)}"
 
@@ -316,7 +311,7 @@ def check_sqrt_parity_separation():
 
 
 def check_periodic_fits():
-    f = _two_three()
+    f = seq_two_three()
     fits = periodic_fit_sweep(f, range(1, 65), _CPS_20)
     worst = min(p.fit_fraction for p in fits)
     if worst < 0.1:

@@ -31,7 +31,6 @@ from .cobham import (
     shift_invariance,
 )
 from .density import Checkpoints, VerdictPolicy, discrepancy_profile, verdict
-from .digits import INT_LIMIT
 from .errors import ExprError, RangeError
 from .kernel import check_labeling_consistency, cluster_kernel, default_depth, quotient_to_json
 from .seqlib import (
@@ -56,10 +55,10 @@ DEFAULT_CP_FIRST = 1 << 10
 # ---------------------------------------------------------------------------
 
 
-# the leaves built from their step's arguments alone; two-three reads the builder's table,
-# and file: calls this module's `sequence_from_file`, the name a tracer wraps
+# the leaves built from their step's arguments alone; file: calls this module's
+# `sequence_from_file`, the name a tracer wraps
 _LEAVES = {"leading-prime": seq_leading_prime, "run-parity": seq_run_parity,
-           "sqrt-parity": seq_sqrt_parity, "periodic": periodic}
+           "sqrt-parity": seq_sqrt_parity, "two-three": seq_two_three, "periodic": periodic}
 
 
 def _take_token(text: str, pos: int):
@@ -100,7 +99,7 @@ def _parse_leaf(text: str, token: str, pos: int, end: int) -> tuple:
         if end == len(text):
             raise ExprError("file needs a path", end)
         return ("file", text[end:])
-    if token == "two-three" or token in _LEAVES:
+    if token in _LEAVES:
         if end != len(text):
             raise ExprError("trailing characters after expression", end)
         return (token,)
@@ -143,36 +142,19 @@ def parse_expr(text: str) -> tuple:
 
 
 class SequenceBuilder:
-    """Turns parsed expressions into sequences, sharing one smooth table."""
-
-    def __init__(self, smooth_limit: int = DEFAULT_SMOOTH_LIMIT):
-        self.smooth_limit = smooth_limit
-        self._table = None
-
-    def table(self):
-        if self._table is None:
-            # seq_two_three refuses this coverage; refuse it before enumerating
-            if self.smooth_limit >= INT_LIMIT:
-                raise RangeError("table coverage exceeds the 2**63 index range")
-            self._table = smooth.enumerate_smooth(self.smooth_limit)
-        return self._table
+    """Turns parsed expressions into sequences."""
 
     def build(self, steps) -> Sequence:
         """The sequence of `parse_expr`'s steps: the leaf, then each step from the inside out."""
         leaf, *args = steps[-1]
-        if leaf == "two-three":
-            f = seq_two_three(self.table())
-        elif leaf == "file":
-            f = sequence_from_file(*args)
-        else:
-            f = _LEAVES[leaf](*args)
+        f = sequence_from_file(*args) if leaf == "file" else _LEAVES[leaf](*args)
         for name, *args in reversed(steps[:-1]):
             f = shift(f, *args) if name == "shift" else compress(f, *args)
         return f
 
 
-def build_sequence(text: str, smooth_limit: int = DEFAULT_SMOOTH_LIMIT) -> Sequence:
-    return SequenceBuilder(smooth_limit).build(parse_expr(text))
+def build_sequence(text: str) -> Sequence:
+    return SequenceBuilder().build(parse_expr(text))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +212,7 @@ def _parse_range(text: str):
 
 
 def _cmd_eval(args) -> int:
-    f = build_sequence(args.seq, args.smooth_limit)
+    f = build_sequence(args.seq)
     a, b = _parse_range(args.range)
     density.check_budget(b - a, "bytes", f"value table of {f.name} on [{a}, {b})")
     if b > a:
@@ -254,6 +236,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_smooth(args) -> int:
+    if args.json is not None and args.kronecker is None:
+        raise ValueError("--json writes the --kronecker pairs; pass --kronecker too")
     if args.first is not None:
         density.check_budget(smooth.first_bytes(args.first), "bytes",
                              f"3-smooth table of the first {args.first} entries")
@@ -312,9 +296,8 @@ def _expect_exit(args, v) -> int:
 
 def _cmd_discrepancy(args) -> int:
     policy = _policy(args)  # refuse a bad policy before the scan
-    builder = SequenceBuilder(args.smooth_limit)
-    f = builder.build(parse_expr(args.f))
-    g = builder.build(parse_expr(args.g))
+    f = build_sequence(args.f)
+    g = build_sequence(args.g)
     profile = discrepancy_profile(f, g, _checkpoints(args))
     v = verdict(profile, policy)
     _profile_output(args, profile, v)
@@ -322,14 +305,14 @@ def _cmd_discrepancy(args) -> int:
 
 
 def _cmd_shift(args) -> int:
-    f = build_sequence(args.seq, args.smooth_limit)
+    f = build_sequence(args.seq)
     result = shift_invariance(f, args.m, _checkpoints(args), _policy(args))
     _profile_output(args, result.profile, result.verdict)
     return _expect_exit(args, result.verdict)
 
 
 def _cmd_kernel(args) -> int:
-    f = build_sequence(args.seq, args.smooth_limit)
+    f = build_sequence(args.seq)
     depth = args.depth if args.depth is not None else default_depth(args.base)
     q = cluster_kernel(f, args.base, depth, _checkpoints(args), args.tau)
     violations = check_labeling_consistency(q)
@@ -345,7 +328,7 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_periodic_fit(args) -> int:
-    f = build_sequence(args.seq, args.smooth_limit)
+    f = build_sequence(args.seq)
     if args.q is not None:
         periods = [args.q]
     else:
@@ -375,7 +358,7 @@ def _cmd_union_density(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    f = build_sequence(args.seq, args.smooth_limit)
+    f = build_sequence(args.seq)
     report = cobham_report(
         f,
         args.k,
@@ -411,20 +394,15 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, nmax=DEFAULT_NMAX) -> None:
-    p.add_argument("--nmax", type=int, default=nmax, help="final checkpoint")
+def _add_common(p) -> None:
+    p.add_argument("--nmax", type=int, default=DEFAULT_NMAX, help="final checkpoint")
     p.add_argument("--cp-first", type=int, default=DEFAULT_CP_FIRST, help="first checkpoint")
     p.add_argument("--tau", type=float, default=VerdictPolicy.tau, help="verdict/cluster threshold")
+
+
+def _add_rho(p) -> None:
+    """--rho, added after `_add_common` by the commands that read a verdict (kernel reads none)."""
     p.add_argument("--rho", type=float, default=VerdictPolicy.rho, help="verdict decay factor")
-
-
-def _add_smooth_limit(p) -> None:
-    p.add_argument(
-        "--smooth-limit",
-        type=int,
-        default=DEFAULT_SMOOTH_LIMIT,
-        help="coverage of the 3-smooth table backing two-three",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True, help="sequence expression")
     p.add_argument("--range", required=True, help="half-open range A:B")
     p.add_argument("--csv", nargs="?", const="-", default=None, help="CSV out (path or stdout)")
-    _add_smooth_limit(p)
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("smooth", help="enumerate 3-smooth numbers and gap data",
@@ -463,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect", choices=["equal", "distinct", "inconclusive"], default=None,
                    help="exit 1 unless the verdict matches")
     _add_common(p)
-    _add_smooth_limit(p)
+    _add_rho(p)
     p.set_defaults(handler=_cmd_discrepancy)
 
     p = sub.add_parser("shift", help="profile a sequence against its shift",
@@ -474,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", nargs="?", const="-", default=None)
     p.add_argument("--expect", choices=["equal", "distinct", "inconclusive"], default=None)
     _add_common(p)
-    _add_smooth_limit(p)
+    _add_rho(p)
     p.set_defaults(handler=_cmd_shift)
 
     p = sub.add_parser("kernel", help="cluster the bounded-depth kernel of a sequence",
@@ -484,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=None, help="defaults to 4 (base 2) or 3")
     p.add_argument("--json", nargs="?", const="-", default=None)
     _add_common(p)
-    _add_smooth_limit(p)
     p.set_defaults(handler=_cmd_kernel)
 
     p = sub.add_parser("periodic-fit", help="fit periodic approximants by majority vote",
@@ -499,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=VerdictPolicy.tau)
     p.add_argument("--rho", type=float, default=VerdictPolicy.rho)
     p.add_argument("--csv", nargs="?", const="-", default=None)
-    _add_smooth_limit(p)
     p.set_defaults(handler=_cmd_periodic_fit)
 
     p = sub.add_parser("union-density", help="exact residue-class union coverage",
@@ -523,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-period", type=int, default=DEFAULT_MAX_PERIOD)
     p.add_argument("--json", nargs="?", const="-", default=None)
     _add_common(p)
-    _add_smooth_limit(p)
+    _add_rho(p)
     p.set_defaults(handler=_cmd_report)
 
     p = sub.add_parser("verify", help="run the acceptance suite",

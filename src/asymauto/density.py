@@ -187,7 +187,7 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class VerdictPolicy:
-    """Decision thresholds: final fraction vs tau, decay factor rho."""
+    """Decision thresholds: final fraction vs tau > 0, decay factor rho > 1."""
 
     tau: float = 1e-3
     rho: float = 1.2
@@ -196,6 +196,10 @@ class VerdictPolicy:
         for name, x in (("tau", self.tau), ("rho", self.rho)):
             if not math.isfinite(x):
                 raise ValueError(f"{name} must be finite, got {x}")
+        if self.tau <= 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
+        if self.rho <= 1:
+            raise ValueError(f"rho must exceed 1, got {self.rho}")
 
 
 def verdict(profile: DiscrepancyProfile, policy: VerdictPolicy = VerdictPolicy()) -> Verdict:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .digits import INT_LIMIT
 from .errors import CoverageError, RangeError
-from .smooth import SmoothTable
+from .smooth import enumerate_smooth
 
 _U1 = np.uint64(1)
 
@@ -561,21 +561,28 @@ def seq_sqrt_parity() -> Sequence:
     return Sequence("sqrt-parity", ("0", "1"), leaf, _MAX_INDEX)
 
 
-def seq_two_three(table: SmoothTable) -> Sequence:
+@functools.cache
+def _two_three_tables():
+    """The breakpoints H_1, H_2, ... below 2**63 and the gap parities of H_0, H_1, ...
+
+    The 1,303 3-smooth numbers below 2**63, built on first use.
+    """
+    entries = enumerate_smooth(_MAX_INDEX).entries
+    # H_1, H_2, ...: the parity of H_0 = 1 holds below H_1, at 0 too
+    breaks = np.array([e.value for e in entries[1:]], dtype=np.uint64)
+    return breaks, np.array([e.parity for e in entries], dtype=np.uint8)
+
+
+def seq_two_three() -> Sequence:
     """Sign sequence constant on the gaps of the 3-smooth enumeration.
 
-    On [H_i, H_{i+1}) the value is (-1)**(alpha_i + beta_i); evaluation needs
-    an explicit table and fails loudly past its coverage so experiment ranges
-    stay reproducible.  Placing 0 in the leading interval [H_0, H_1) gives it
-    the +1 the construction assigns to 0, so no special case is needed.
+    On [H_i, H_{i+1}) the value is (-1)**(alpha_i + beta_i), for every index
+    below 2**63.  Placing 0 in the leading interval [H_0, H_1) gives it the +1
+    the construction assigns to 0, so no special case is needed.
     """
-    if table.limit >= INT_LIMIT:
-        raise RangeError("table coverage exceeds the 2**63 index range")
-    # H_1, H_2, ...: the parity of H_0 = 1 holds below H_1, at 0 too
-    breaks = np.array([e.value for e in table.entries[1:]], dtype=np.uint64)
-    parities = np.array([e.parity for e in table.entries], dtype=np.uint8)
+    breaks, parities = _two_three_tables()
 
     def leaf(first, step, count):
         return _fill_runs(breaks, parities, first, step, count)
 
-    return Sequence(f"two-three[limit={table.limit}]", ("+1", "-1"), leaf, table.limit)
+    return Sequence("two-three", ("+1", "-1"), leaf, _MAX_INDEX)

@@ -68,14 +68,13 @@ _STEPS = st.one_of(
         lambda a: st.builds(f"compress:{k}:{a}:{{}}:".format, _digits(0, k**a - 1)))),
 )
 _LEAVES = st.one_of(
-    st.sampled_from(["leading-prime", "run-parity", "sqrt-parity", "file:"]),
+    st.sampled_from(["leading-prime", "run-parity", "sqrt-parity", "two-three", "file:"]),
     st.lists(_digits(0, 255), min_size=1, max_size=6).map(lambda v: "periodic:" + ",".join(v)),
 )
 
 
 @given(st.lists(_STEPS, max_size=6), _LEAVES)
 def test_canonical_expression_is_its_name(tmp_path_factory, steps, leaf):
-    # two-three is left out: its name carries the coverage, two-three[limit=...]
     if leaf == "file:":
         path = tmp_path_factory.getbasetemp() / "hypothesis-chain.txt"
         path.write_text("a\nb\n", encoding="utf-8")
@@ -117,13 +116,12 @@ def test_exit_codes(tmp_path):
     assert main(["union-density", "--k", "4", "--m", "2", "--gamma", "6", "--nu", "6"]) == 2
     assert main(["union-density", "--k", "4", "--m", "1", "--gamma", "6", "--nu", "40"]) == 3
     # coverage overrun surfaces as a range failure
-    assert (
-        main(
-            ["eval", "--seq", "compress:2:30:0:two-three", "--range", "0:4",
-             "--smooth-limit", str(1 << 20)]
-        )
-        == 3
-    )
+    path = tmp_path / "four.txt"
+    path.write_text("a\nb\na\nb\n", encoding="utf-8")
+    assert main(["eval", "--seq", f"compress:2:1:0:file:{path}", "--range", "0:4"]) == 3
+    # options that no longer exist are usage errors
+    assert main(["eval", "--seq", "two-three", "--range", "0:4", "--smooth-limit", "5000"]) == 2
+    assert main(["kernel", "--seq", "two-three", "--base", "2", "--rho", "1.2"]) == 2
     assert main(["--help"]) == 0
     assert main(["smooth", "--help"]) == 0
     assert main([]) == 2
@@ -226,11 +224,13 @@ def test_smooth_csv_is_written_row_by_row(tmp_path):
     assert with_csv < 1.1 * plain, (with_csv, plain)
 
 
-def test_eval_past_coverage_fails_before_filling(capsys, monkeypatch):
+def test_eval_past_coverage_fails_before_filling(capsys, monkeypatch, tmp_path):
     # the error names the last index of the range, as one call on it would
+    path = tmp_path / "labels.txt"
+    path.write_text("a\nb\n" * 2500 + "a\n", encoding="utf-8")  # indices 0..5000
     monkeypatch.setattr(density, "_SCAN_CHUNK", 997)
     counts = spy_on_values(monkeypatch)
-    argv = ["eval", "--seq", "two-three", "--range", "0:6000", "--smooth-limit", "5000"]
+    argv = ["eval", "--seq", f"file:{path}", "--range", "0:6000"]
     assert main(argv) == 3
     assert counts == [1]
     err = capsys.readouterr().err
@@ -238,11 +238,6 @@ def test_eval_past_coverage_fails_before_filling(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, err", [
-    (["eval", "--seq", "two-three", "--range", "0:4", "--smooth-limit", str(10**3000)],
-     "range error: table coverage exceeds the 2**63 index range\n"),
-    (["discrepancy", "--f", "sqrt-parity", "--g", "shift:1:two-three",
-      "--smooth-limit", str(1 << 63)],
-     "range error: table coverage exceeds the 2**63 index range\n"),
     (["smooth", "--first", "10000000"],
      "range error: 3-smooth table of the first 10000000 entries: 7910000000 bytes exceed"),
     (["smooth", "--limit", str(10**3000)], "range error: 3-smooth table up to 1000"),
@@ -311,6 +306,20 @@ def test_huge_powers_refused_before_computing_them(argv, err):
      "error: rho must be finite, got inf"),
     (["report", "--seq", "two-three", "--k", "2", "--l", "3", "--tau", "nan", "--nmax", "4096"],
      "error: tau must be finite, got nan"),
+    # a threshold at or below 0, or a decay factor at or below 1, printed a verdict
+    (["discrepancy", "--f", "two-three", "--g", "shift:1:two-three", "--tau", "-1", "--nmax", "4096"],
+     "error: tau must be positive, got -1.0"),
+    (["discrepancy", "--f", "two-three", "--g", "shift:1:two-three", "--rho", "0", "--nmax", "4096"],
+     "error: rho must exceed 1, got 0.0"),
+    (["shift", "--seq", "two-three", "--m", "1", "--tau", "0", "--nmax", "4096"],
+     "error: tau must be positive, got 0.0"),
+    (["report", "--seq", "two-three", "--k", "2", "--l", "3", "--rho", "1", "--nmax", "4096"],
+     "error: rho must exceed 1, got 1.0"),
+    # only --kronecker has a JSON artifact; the refusal comes before the table's budget check
+    (["smooth", "--limit", "12", "--json", "F"],
+     "error: --json writes the --kronecker pairs; pass --kronecker too"),
+    (["smooth", "--limit", str(10**3000), "--json", "F"],
+     "error: --json writes the --kronecker pairs; pass --kronecker too"),
 ])
 def test_bad_option_values_are_usage_errors(capsys, monkeypatch, tmp_path, argv, err):
     monkeypatch.chdir(tmp_path)  # where a verify run would write its outputs

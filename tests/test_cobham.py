@@ -11,7 +11,6 @@ from asymauto import (
     RangeError,
     Verdict,
     cobham_report,
-    enumerate_smooth,
     multiplicatively_independent,
     periodic,
     periodic_fit_sweep,
@@ -28,10 +27,6 @@ from helpers import majority_by_residue_loop
 CPS16 = Checkpoints.geometric(1 << 8, 1 << 16)
 
 
-def two_three():
-    return seq_two_three(enumerate_smooth(1 << 24))
-
-
 def test_shift_invariance_periodic():
     res = shift_invariance(periodic([0, 1]), 2, CPS16)
     assert all(c == 0 for c in res.profile.counts)
@@ -41,7 +36,7 @@ def test_shift_invariance_periodic():
 
 
 def test_shift_invariance_two_three():
-    res = shift_invariance(two_three(), 1, Checkpoints.geometric(1 << 10, 1 << 20))
+    res = shift_invariance(seq_two_three(), 1, Checkpoints.geometric(1 << 10, 1 << 20))
     assert res.profile.counts[-1] == 104
     assert res.verdict is Verdict.EQUAL
 
@@ -64,7 +59,7 @@ def test_periodic_fit_exact_recovery():
 
 
 def test_periodic_fit_two_three_resists():
-    fits = periodic_fit_sweep(two_three(), range(1, 17), CPS16)
+    fits = periodic_fit_sweep(seq_two_three(), range(1, 17), CPS16)
     assert min(p.fit_fraction for p in fits) >= 0.1
     assert all(p.verdict is Verdict.DISTINCT for p in fits)
 
@@ -140,7 +135,7 @@ def test_fit_fraction_capped_by_alphabet():
 
 def test_shift_telescoping_bound():
     n = 1 << 16
-    for f in (two_three(), seq_sqrt_parity(), periodic([0, 1, 1])):
+    for f in (seq_two_three(), seq_sqrt_parity(), periodic([0, 1, 1])):
         vals = sequence_values(f, n + 9)
         c1 = int(np.count_nonzero(vals[: n + 1][:-1] != vals[1 : n + 1]))
         for q in range(1, 9):
@@ -181,7 +176,7 @@ def test_multiplicative_independence_matches_exponent_search():
 def test_report_two_three():
     # tau=0.25 is the scale-appropriate clustering threshold (see repo notes)
     report = cobham_report(
-        two_three(),
+        seq_two_three(),
         2,
         3,
         depth_k=3,
@@ -228,7 +223,7 @@ def test_report_periodic_sequence():
 def test_report_exploratory_base_runs():
     # base-5 compression classes are reported without any structural claim
     report = cobham_report(
-        two_three(),
+        seq_two_three(),
         2,
         5,
         depth_k=2,
@@ -266,6 +261,6 @@ def test_sweep_rejects_periods_longer_than_the_prefix():
 def test_sweep_table_checked_against_the_budget():
     # 2**40 bytes of value table: refused before anything is evaluated
     with pytest.raises(RangeError, match="budget"):
-        periodic_fit_sweep(two_three(), [1], Checkpoints((1 << 40,)))
+        periodic_fit_sweep(seq_two_three(), [1], Checkpoints((1 << 40,)))
     with pytest.raises(RangeError, match="budget"):
-        sequence_values(two_three(), (1 << 31) + 1)
+        sequence_values(seq_two_three(), (1 << 31) + 1)

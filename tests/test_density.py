@@ -82,7 +82,7 @@ def test_identical_sequences_have_zero_profile():
 
 
 def test_two_three_shift_profile():
-    f = seq_two_three(enumerate_smooth(1 << 22))
+    f = seq_two_three()
     cps = Checkpoints.geometric(1 << 10, 1 << 20)
     profile = discrepancy_profile(f, shift(f, 1), cps)
     # switches happen only at enumeration points with a sign change

@@ -16,7 +16,6 @@ from asymauto import (
     check_labeling_consistency,
     cluster_kernel,
     enumerate_kernel,
-    enumerate_smooth,
     kernel_words,
     label_word,
     quotient_to_json,
@@ -31,10 +30,6 @@ from asymauto.cli import main
 from helpers import disagreements, kernel_elements_by_loop, peak_rss_bytes, python_with_peak_rss
 
 CPS18 = Checkpoints.geometric(1 << 10, 1 << 18)
-
-
-def two_three():
-    return seq_two_three(enumerate_smooth(1 << 24))
 
 
 def test_enumerate_kernel_counts():
@@ -67,7 +62,7 @@ def test_cluster_determinism():
 
 def test_tau_monotonicity():
     # a stricter threshold can only split classes, never merge them
-    for seq in (two_three(), seq_sqrt_parity()):
+    for seq in (seq_two_three(), seq_sqrt_parity()):
         counts = [
             cluster_kernel(seq, 2, 3, CPS18, tau).class_count
             for tau in (1e-3, 1e-2, 1e-1, 0.25)
@@ -77,7 +72,7 @@ def test_tau_monotonicity():
 
 def test_two_three_labels_at_derived_tau():
     # tau=0.25 resolves the two sign classes at this scale (see repo notes)
-    q = cluster_kernel(two_three(), 2, 3, CPS18, 0.25)
+    q = cluster_kernel(seq_two_three(), 2, 3, CPS18, 0.25)
     assert q.class_count == 2
     eps = Word(2, ())
     zero = Word(2, (0,))
@@ -89,7 +84,7 @@ def test_two_three_labels_at_derived_tau():
 
 
 def test_two_three_base3_depth_coherence():
-    q = cluster_kernel(two_three(), 3, 2, CPS18, 0.25)
+    q = cluster_kernel(seq_two_three(), 3, 2, CPS18, 0.25)
     assert q.class_count == 2
     assert q.finiteness == "stable"
 
@@ -122,7 +117,7 @@ def test_overflow_rejected():
 
 
 def test_quotient_json_roundtrip():
-    q = cluster_kernel(two_three(), 2, 2, CPS18, 0.25)
+    q = cluster_kernel(seq_two_three(), 2, 2, CPS18, 0.25)
     obj = json.loads("".join(quotient_to_json(q)))
     assert obj["base"] == 2
     assert obj["depth"] == 2
@@ -136,10 +131,42 @@ def test_quotient_json_roundtrip():
     assert obj["classes"][0]["representative"] == {"alpha": 0, "r": 0}
 
 
+def test_labeling_violations_match_a_naive_recount():
+    # sqrt-parity has no finite digit-transition table: at this scale the
+    # labelling breaks the digit extension in 3 places
+    q = cluster_kernel(seq_sqrt_parity(), 2, 3, Checkpoints.geometric(1 << 8, 1 << 14), 0.01)
+    violations = check_labeling_consistency(q)
+    inner = sorted(e for e in q.labels if e[0] < q.depth)
+    recount = []
+    for i, v in enumerate(inner):
+        for w in inner[i + 1:]:
+            if q.labels[v] != q.labels[w]:
+                continue
+            for digit in range(q.base):
+                ev = q.labels[(v[0] + 1, digit * q.base ** v[0] + v[1])]
+                ew = q.labels[(w[0] + 1, digit * q.base ** w[0] + w[1])]
+                if ev != ew:
+                    recount.append((digit, v, w, ev, ew))
+    got = [(x.digit, x.left, x.right, x.left_extended_label, x.right_extended_label)
+           for x in violations]
+    assert len(got) == 3
+    assert sorted(got) == sorted(recount)
+
+    def padded(a, r):  # r's base-2 digits, most significant first, a of them
+        return "".join(str(r >> i & 1) for i in reversed(range(a)))
+
+    obj = json.loads("".join(quotient_to_json(q, violations)))
+    assert obj["violations"] == [
+        {"digit": d, "left": padded(*v), "right": padded(*w),
+         "left_extended_label": ev, "right_extended_label": ew}
+        for d, v, w, ev, ew in got
+    ]
+
+
 @pytest.mark.parametrize("depth", [0, 2, 4])
 def test_quotient_json_is_written_row_by_row(depth):
     # d = 1, 7 and 31 elements: the pieces join to json.dumps(sort_keys=True, indent=2)
-    q = cluster_kernel(two_three(), 2, depth, CPS18, 0.25)
+    q = cluster_kernel(seq_two_three(), 2, depth, CPS18, 0.25)
     pieces = list(quotient_to_json(q))
     text = "".join(pieces)
     obj = json.loads(text)
@@ -241,10 +268,10 @@ def test_matrices_match_numpy_counts_across_a_mid_word_chunk(tmp_path, n_sym):
 def test_kernel_budget_checked_before_allocating(monkeypatch):
     # 797161 elements to base 3, depth 12 need a 5 * 10**12-byte matrix: refused, not attempted
     with pytest.raises(RangeError, match="797161 kernel elements.*budget"):
-        cluster_kernel(two_three(), 3, 12, Checkpoints.geometric(1 << 10, 1 << 20), 0.25)
+        cluster_kernel(seq_two_three(), 3, 12, Checkpoints.geometric(1 << 10, 1 << 20), 0.25)
     # a 512 MiB matrix, but 8191 * 8190 / 2 pairs of 2**14 words: the compare work is refused
     with pytest.raises(RangeError, match="8191 kernel elements.*word compares exceed the budget"):
-        cluster_kernel(two_three(), 2, 12, Checkpoints.geometric(1 << 10, 1 << 20), 0.25)
+        cluster_kernel(seq_two_three(), 2, 12, Checkpoints.geometric(1 << 10, 1 << 20), 0.25)
 
     # 3 elements and 3 * 2**27 word compares, but 3 * 2**30 bytes of packed words:
     # the packed words are refused before any element is read
@@ -253,7 +280,7 @@ def test_kernel_budget_checked_before_allocating(monkeypatch):
 
     monkeypatch.setattr(kernel_mod, "sequence_values", refuse)
     with pytest.raises(RangeError, match="packed bit planes of the 3 kernel elements.*budget"):
-        cluster_kernel(two_three(), 2, 1, Checkpoints((1 << 33,)), 0.25)
+        cluster_kernel(seq_two_three(), 2, 1, Checkpoints((1 << 33,)), 0.25)
 
 
 def test_kernel_compare_work_checked_before_evaluating(monkeypatch):
@@ -263,10 +290,10 @@ def test_kernel_compare_work_checked_before_evaluating(monkeypatch):
 
     monkeypatch.setattr(kernel_mod, "sequence_values", refuse)
     with pytest.raises(RangeError, match="1023 kernel elements.*word compares exceed the budget"):
-        cluster_kernel(two_three(), 2, 9, Checkpoints.geometric(1 << 10, 1 << 20), 0.25)
+        cluster_kernel(seq_two_three(), 2, 9, Checkpoints.geometric(1 << 10, 1 << 20), 0.25)
     # depth 8 is inside it: 511 * 510 / 2 * 2**14 is 0.99 * 2**31
     with pytest.raises(AssertionError, match="evaluated"):
-        cluster_kernel(two_three(), 2, 8, Checkpoints.geometric(1 << 10, 1 << 20), 0.25)
+        cluster_kernel(seq_two_three(), 2, 8, Checkpoints.geometric(1 << 10, 1 << 20), 0.25)
 
 
 def test_kernel_matrix_checked_before_allocating(monkeypatch):
@@ -277,7 +304,7 @@ def test_kernel_matrix_checked_before_allocating(monkeypatch):
     monkeypatch.setattr(kernel_mod, "sequence_values", refuse)
     monkeypatch.setattr(kernel_mod, "_element_order", refuse)
     with pytest.raises(RangeError, match="pairwise matrix of the 32767 kernel elements.*budget"):
-        cluster_kernel(two_three(), 2, 14, Checkpoints((64,)), 0.25)
+        cluster_kernel(seq_two_three(), 2, 14, Checkpoints((64,)), 0.25)
 
 
 def test_kernel_checkpoint_matrices_checked_before_evaluating(monkeypatch, capsys):

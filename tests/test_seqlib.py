@@ -164,18 +164,18 @@ def test_isqrt_batch_exact():
 
 
 def test_two_three_values_and_coverage():
-    table = enumerate_smooth(1 << 22)
-    f = seq_two_three(table)
+    f = seq_two_three()
+    assert f.name == "two-three"
     expected = ["+1", "+1", "-1", "-1", "+1", "+1", "+1", "+1", "-1", "+1", "+1", "+1"]
     assert [f.label(n) for n in range(12)] == expected
     assert f(0) == 0  # +1
     assert f(8) == 1  # -1
-    f(table.limit)  # inside coverage
-    with pytest.raises(CoverageError):
-        f(table.limit + 1)
-    q, r = divmod(table.limit - 3, 4)
-    with pytest.raises(CoverageError):
-        compress(f, 2, 2, r).values(q, 2)  # f(limit - 3), f(limit + 1)
+    # the whole index range: past it is the 2**63 range error, never coverage
+    assert f.limit == INT_LIMIT - 1
+    f(INT_LIMIT - 1)
+    with pytest.raises(RangeError) as exc:
+        f(INT_LIMIT)
+    assert not isinstance(exc.value, CoverageError)
 
 
 TWO_THREE_STRIDES = [(1, 0), (2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4)]
@@ -190,7 +190,7 @@ def strided_block(f, k, a, first, count):
 def test_two_three_run_length_fill_at_zero():
     # n = 0 lies below H_0 = 1 and takes its sign; one-term blocks included
     limit = 10**5
-    f, naive = seq_two_three(enumerate_smooth(limit)), two_three_naive(limit)
+    f, naive = seq_two_three(), two_three_naive(limit)
     for k, a in TWO_THREE_STRIDES:
         for count in (1, 2, 3, 40):
             want = [naive(i * k**a) for i in range(count)]
@@ -202,9 +202,8 @@ def test_two_three_run_length_fill_at_each_breakpoint():
     # blocks starting exactly at H_i and one or two terms before it, so the
     # breakpoint falls on the first, second or third term; strides up to 3**4
     limit = 10**6
-    table = enumerate_smooth(limit)
-    f, naive = seq_two_three(table), two_three_naive(limit)
-    for h in table.values():
+    f, naive = seq_two_three(), two_three_naive(limit)
+    for h in enumerate_smooth(limit).values():
         for k, a in TWO_THREE_STRIDES:
             step = k**a
             for first in (x for x in (h - 2 * step, h - step, h) if x >= 0):
@@ -214,17 +213,20 @@ def test_two_three_run_length_fill_at_each_breakpoint():
 
 
 def test_two_three_run_length_fill_at_the_coverage_limit():
-    limit = 10**6
-    f, naive = seq_two_three(enumerate_smooth(limit)), two_three_naive(limit)
-    for k, a in TWO_THREE_STRIDES:
-        step = k**a
-        for count in (1, 7, 200):
-            first = limit - step * (count - 1)
-            assert strided_block(f, k, a, first, count) == [
-                naive(first + i * step) for i in range(count)
-            ]
-            with pytest.raises(CoverageError):
-                strided_block(f, k, a, first, count + 1)
+    # blocks ending on 10**6 and on the last index below 2**63, where one more term is a range error
+    f = seq_two_three()
+    for limit in (10**6, INT_LIMIT - 1):
+        naive = two_three_naive(limit)
+        for k, a in TWO_THREE_STRIDES:
+            step = k**a
+            for count in (1, 7, 200):
+                first = limit - step * (count - 1)
+                assert strided_block(f, k, a, first, count) == [
+                    naive(first + i * step) for i in range(count)
+                ]
+                if limit == INT_LIMIT - 1:
+                    with pytest.raises(RangeError):
+                        strided_block(f, k, a, first, count + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -573,14 +575,13 @@ def test_file_decode_error_copies_no_prefix(tmp_path):
 
 
 def test_batch_matches_scalar_on_builtins():
-    table = enumerate_smooth(1 << 22)
     two_three = two_three_naive(1 << 22)
     rng = np.random.default_rng(5)
     for f, naive in (
         (seq_leading_prime(), leading_prime_naive),
         (seq_run_parity(), run_parity_naive),
         (seq_sqrt_parity(), sqrt_parity_naive),
-        (seq_two_three(table), two_three),
+        (seq_two_three(), two_three),
         (periodic([0, 1, 1, 0]), lambda n: (0, 1, 1, 0)[n % 4]),
         (shift(seq_run_parity(), 3), lambda n: run_parity_naive(n + 3)),
         (compress(seq_leading_prime(), 2, 2, 1), lambda n: leading_prime_naive(4 * n + 1)),
@@ -600,7 +601,6 @@ def test_batch_matches_scalar_on_builtins():
 # ---------------------------------------------------------------------------
 
 FILE_LABELS = ["b", "a", "a", "c", "b", "c", "c", "a", "b", "b", "a"] * 7  # 77 lines
-SMALL_SMOOTH = 10**6
 
 
 @pytest.fixture(scope="module")
@@ -619,10 +619,7 @@ def leaves(label_file):
         "leading-prime": (seq_leading_prime(), leading_prime_naive, full),
         "run-parity": (seq_run_parity(), run_parity_naive, full),
         "sqrt-parity": (seq_sqrt_parity(), sqrt_parity_naive, full),
-        "two-three": (seq_two_three(enumerate_smooth(full)), two_three_naive(full), full),
-        "two-three-small": (
-            seq_two_three(enumerate_smooth(SMALL_SMOOTH)), two_three_naive(SMALL_SMOOTH), SMALL_SMOOTH
-        ),
+        "two-three": (seq_two_three(), two_three_naive(full), full),
         "periodic": (periodic([2, 0, 1, 1, 0]), lambda n: (2, 0, 1, 1, 0)[n % 5], full),
         "file": (
             file_seq, lambda n: file_seq.alphabet.index(FILE_LABELS[n]), len(FILE_LABELS) - 1
@@ -660,7 +657,7 @@ def last_valid(index, cover: int):
 @given(
     st.data(),
     st.sampled_from(["leading-prime", "run-parity", "sqrt-parity", "two-three",
-                     "two-three-small", "periodic", "file"]),
+                     "periodic", "file"]),
     st.lists(LAYER, max_size=3),
 )
 def test_values_match_naive_on_random_progressions(leaves, data, name, layers):
@@ -698,13 +695,10 @@ def test_values_at_the_2_63_boundary(leaves, name, layers, count):
         f(top + 1)
 
 
-@given(
-    st.sampled_from(["two-three-small", "file"]),
-    st.lists(LAYER, max_size=2),
-    st.integers(1, 20),
-)
-def test_values_at_the_coverage_edge(leaves, name, layers, count):
-    f, naive, cover = leaves[name]
+@given(st.lists(LAYER, max_size=2), st.integers(1, 20))
+def test_values_at_the_coverage_edge(leaves, layers, count):
+    # only file: has a coverage short of the 2**63 range
+    f, naive, cover = leaves["file"]
     f, index = nest(f, layers)
     top = last_valid(index, cover)
     assume(top >= 0)
