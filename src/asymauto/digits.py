@@ -6,14 +6,19 @@ below 2**63: conversions that would leave that range raise RangeError instead
 of silently wrapping, because wrapped indices would corrupt density counts
 downstream.
 
-Expansion in bases up to 64 peels a chunk of digits per `divmod`, reading
-the chunk's digits from a table built once per base; `value` parses through
-`int(text, k)` for bases up to 36 and words of at most 640 digits.
+A word holds its digits in one private container: a `bytes` string of digit
+values (not characters) for bases up to 256, a tuple above that; both iterate,
+index, concatenate and compare as sequences of ints.  `Word.digits` is a tuple
+view of it.  Expansion in bases up to 64 peels a chunk of digits per `divmod`
+and joins the chunks' digit strings, read from a table built on a base's first
+use; `value` parses through `int(text, k)` for bases up to 36 and words of at
+most 640 digits.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import sys
 
 from .errors import RangeError
@@ -25,12 +30,13 @@ _TO_CHAR = bytes.maketrans(bytes(range(len(_DIGIT_CHARS))), _DIGIT_CHARS)
 _PARSE_MAX = sys.int_info.str_digits_check_threshold  # int(text, k) may refuse longer text
 _CHUNK_BASE_MAX = 64
 _CHUNK_LIMIT = 1 << 12
+_BYTES_BASE_MAX = 256
 
 
 class Word:
     """A finite digit string over {0, .., base-1}, most significant first."""
 
-    __slots__ = ("base", "digits")
+    __slots__ = ("base", "_raw")
 
     def __init__(self, base: int, digits):
         if base < 2:
@@ -40,28 +46,33 @@ class Word:
             if not 0 <= d < base:
                 raise ValueError(f"digit {d} out of range for base {base}")
         self.base = base
-        self.digits = digits
+        self._raw = _pack(base, digits)
+
+    @property
+    def digits(self) -> tuple:
+        """The digits as a tuple of ints, most significant first."""
+        return tuple(self._raw)
 
     def __len__(self) -> int:
-        return len(self.digits)
+        return len(self._raw)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Word)
             and self.base == other.base
-            and self.digits == other.digits
+            and self._raw == other._raw
         )
 
     def __hash__(self) -> int:
-        return hash((self.base, self.digits))
+        return hash((self.base, self._raw))
 
     def text(self, empty: str = "ε") -> str:
         """Render digits; bases above 10 use comma-separated digit lists."""
-        if not self.digits:
+        if not self._raw:
             return empty
         if self.base <= 10:
-            return "".join(str(d) for d in self.digits)
-        return ",".join(str(d) for d in self.digits)
+            return self._raw.translate(_TO_CHAR).decode()
+        return ",".join(map(str, self._raw))
 
     def __str__(self) -> str:
         return self.text()
@@ -70,11 +81,16 @@ class Word:
         return f"Word(base={self.base}, '{self.text()}')"
 
 
-def _word(base: int, digits: tuple) -> Word:
+def _pack(base: int, digits):
+    """The container a base-`base` word keeps its digits in."""
+    return bytes(digits) if base <= _BYTES_BASE_MAX else tuple(digits)
+
+
+def _word(base: int, raw) -> Word:
     # fast path for canonical constructors; skips per-digit validation
     w = object.__new__(Word)
     w.base = base
-    w.digits = digits
+    w._raw = raw
     return w
 
 
@@ -86,27 +102,28 @@ def expand(n: int, k: int) -> Word:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n >= INT_LIMIT:
         raise RangeError(f"n = {n} exceeds the 2**63 range")
-    return _word(k, _digits(n, k))
+    return _word(k, _raw(n, k))
 
 
-def _digits(n: int, k: int) -> tuple:
-    """Canonical base-k digits of a nonnegative n, most significant first."""
+def _raw(n: int, k: int):
+    """The digit container of the canonical base-k expansion of a nonnegative n."""
     if k <= _CHUNK_BASE_MAX:
         size, padded, top = _chunk_table(k)
         if n < size:
             return top[n]
-        n, r = divmod(n, size)
-        digits = padded[r]
+        chunks = []
         while n >= size:
             n, r = divmod(n, size)
-            digits = padded[r] + digits
-        return top[n] + digits
+            chunks.append(padded[r])
+        chunks.append(top[n])
+        chunks.reverse()
+        return b"".join(chunks)
     digits = []
     while n:
         n, d = divmod(n, k)
         digits.append(d)
     digits.reverse()
-    return tuple(digits)
+    return _pack(k, digits)
 
 
 @functools.cache
@@ -118,10 +135,8 @@ def _chunk_table(k: int):
     m = 1
     while k ** (m + 1) <= _CHUNK_LIMIT:
         m += 1
-    padded = [()]
-    for _ in range(m):
-        padded = [p + (d,) for p in padded for d in range(k)]
-    top = [p[next((i for i, d in enumerate(p) if d), m):] for p in padded]
+    padded = [bytes(p) for p in itertools.product(range(k), repeat=m)]
+    top = [p.lstrip(b"\0") for p in padded]
     return k**m, padded, top
 
 
@@ -133,18 +148,18 @@ def expand_padded(n: int, k: int, alpha: int) -> Word:
         raise ValueError(f"n must be nonnegative, got {n}")
     if alpha < 0:
         raise ValueError(f"length must be nonnegative, got {alpha}")
-    digits = _digits(n % k**alpha, k)
-    return _word(k, (0,) * (alpha - len(digits)) + digits)
+    raw = _raw(n % k**alpha, k)
+    return _word(k, _pack(k, bytes(alpha - len(raw))) + raw)
 
 
 def value(u: Word) -> int:
     """The integer a word stands for; rejects results at or above 2**63."""
-    k = u.base
-    if k <= 36 and 0 < len(u.digits) <= _PARSE_MAX:
-        v = int(bytes(u.digits).translate(_TO_CHAR), k)
+    k, raw = u.base, u._raw
+    if k <= 36 and 0 < len(raw) <= _PARSE_MAX:
+        v = int(raw.translate(_TO_CHAR), k)
     else:
         v = 0
-        for d in u.digits:
+        for d in raw:
             v = v * k + d
     if v >= INT_LIMIT:
         raise RangeError(f"word value {v} exceeds the 2**63 range")
@@ -155,4 +170,4 @@ def concat(u: Word, v: Word) -> Word:
     """Concatenation uv; both words must share a base."""
     if u.base != v.base:
         raise ValueError(f"base mismatch: {u.base} vs {v.base}")
-    return _word(u.base, u.digits + v.digits)
+    return _word(u.base, u._raw + v._raw)

@@ -429,6 +429,37 @@ def test_kernel_json_deterministic(tmp_path):
     assert obj["classes"][0]["members"] == 7
 
 
+def test_kernel_json_labels_in_a_base_above_256(tmp_path):
+    # base-300 digits do not fit in a byte; each label's key is the padded word's digits,
+    # comma-joined, and the empty word's key is ""
+    def naive_text(a, r):
+        digits = []
+        for _ in range(a):
+            r, d = divmod(r, 300)
+            digits.append(d)
+        return ",".join(map(str, reversed(digits)))
+
+    path = tmp_path / "k300.json"
+    args = ["kernel", "--seq", "two-three", "--base", "300", "--depth", "1", "--nmax", "1024"]
+    assert main(args + ["--json", str(path)]) == 0
+    obj = json.loads(path.read_text(encoding="utf-8").split("\n", 1)[1])
+    words = [(0, 0)] + [(1, r) for r in range(300)]
+    assert sorted(obj["labels"]) == sorted(naive_text(a, r) for a, r in words)
+    for cid, c in enumerate(obj["classes"]):
+        rep = c["representative"]
+        assert obj["labels"][naive_text(rep["alpha"], rep["r"])] == cid
+
+
+def test_python_dash_m_runs_the_command():
+    env = dict(os.environ, PYTHONPATH=str(Path(asymauto.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "asymauto", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout.startswith("usage: asymauto")
+    done = subprocess.run([sys.executable, "-m", "asymauto", "bogus"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and "invalid choice: 'bogus'" in done.stderr
+
+
 def test_periodic_fit_cli(capsys, tmp_path):
     rc = main(
         ["periodic-fit", "--seq", "periodic:0,1,1", "--q", "3", "--n", "4096",
