@@ -24,8 +24,8 @@ from .smooth import (
     KroneckerGaps,
     RatioProfile,
     SmoothEntry,
-    SmoothTable,
     enumerate_smooth,
+    first_smooth,
     kronecker_gap,
     ratio_profile,
 )

@@ -156,10 +156,10 @@ _RATIO_MAX_1000_5000 = Fraction(134217728, 129140163)  # 2^27 / 3^17, by enumera
 
 
 def check_smooth_table():
-    table = smooth.SmoothTable.first(5001)
-    if [e.value for e in table.entries[:8]] != [1, 2, 3, 4, 6, 8, 9, 12]:
+    table = smooth.first_smooth(5001)
+    if [e.value for e in table[:8]] != [1, 2, 3, 4, 6, 8, 9, 12]:
         return False, "first 8 values wrong"
-    for e in table.entries:
+    for e in table:
         prod = 1
         for _ in range(e.alpha):
             prod *= 2

@@ -214,16 +214,16 @@ def _parse_range(text: str):
 def _cmd_eval(args) -> int:
     f = build_sequence(args.seq)
     a, b = _parse_range(args.range)
-    density.check_budget(b - a, "bytes", f"value table of {f.name} on [{a}, {b})")
-    if b > a:
-        f.values(b - 1, 1)  # past coverage or 2**63: fail at once, naming b - 1
 
     def label_blocks():
         # one block of labels at a time, so memory stays within one scan chunk
-        for lo, block in density.value_blocks(f, b - a, a):
-            yield a + lo, [f.alphabet[i] for i in block.tolist()]
+        return ((a + lo, [f.alphabet[i] for i in block.tolist()])
+                for lo, block in density.value_blocks(f, b - a, a))
 
-    for lo, labels in label_blocks():
+    blocks = label_blocks()  # value_blocks refuses a range over the budget here
+    if b > a:
+        f.values(b - 1, 1)  # past coverage or 2**63: fail at once, naming b - 1
+    for lo, labels in blocks:
         sys.stdout.write(("," if lo > a else "") + ",".join(labels))
     sys.stdout.write("\n")
     if args.csv is not None:
@@ -239,14 +239,10 @@ def _cmd_smooth(args) -> int:
     if args.json is not None and args.kronecker is None:
         raise ValueError("--json writes the --kronecker pairs; pass --kronecker too")
     if args.first is not None:
-        density.check_budget(smooth.first_bytes(args.first), "bytes",
-                             f"3-smooth table of the first {args.first} entries")
-        table = smooth.SmoothTable.first(args.first)
+        table = smooth.first_smooth(args.first)
     else:
-        density.check_budget(smooth.limit_bytes(args.limit), "bytes",
-                             f"3-smooth table up to {args.limit}")
         table = smooth.enumerate_smooth(args.limit)
-    print(f"entries: {len(table)}  last: {table[len(table) - 1].value}")
+    print(f"entries: {len(table)}  last: {table[-1].value}")
     if args.csv is not None:
         _emit(smooth.table_to_csv(table), args.csv, _meta(args))
     if args.ratio_range:

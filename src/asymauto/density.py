@@ -6,9 +6,9 @@ disagreements of two sequences, or the ones of an indicator (a density
 estimate).  A profile plus a declared verdict policy is the strongest
 statement the package makes.  Every count at checkpoints, the kernel's
 pairwise matrix included, is summed by one serial scan, `prefix_counts`, chunk
-by chunk, so its working memory does not grow with N.  Every table the package
-builds (value tables, the kernel's packed words and its pairwise matrices at
-the checkpoints, the union bitset) is checked against one budget first.
+by chunk, so its working memory does not grow with N.  `value_blocks` checks a
+range against the package's one budget (`errors.check_budget`) when it is
+called, and the value tables and `eval` read their values through it.
 """
 
 from __future__ import annotations
@@ -21,19 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import RangeError
+from .errors import BUDGET, RangeError, check_budget
 from .seqlib import Sequence
 
 _SCAN_CHUNK = 1 << 18
-# the most any one table may take, checked before allocating: bytes of a value table,
-# of the kernel's packed words or of its pairwise matrices, bits of the union bitset
-_BUDGET = 1 << 31
-
-
-def check_budget(size: int, unit: str, what: str) -> None:
-    """RangeError when `what` needs more than the budget; call it before allocating."""
-    if size > _BUDGET:
-        raise RangeError(f"{what}: {size} {unit} exceed the budget of {_BUDGET} {unit}")
 
 
 @dataclass(frozen=True)
@@ -102,18 +93,19 @@ def prefix_counts(count, cps: Checkpoints) -> tuple:
 def value_blocks(f: Sequence, n: int, start: int = 0):
     """f on [start, start + n) as (offset, uint8 block) pairs of at most _SCAN_CHUNK terms.
 
+    The range is refused over the budget when this is called, before any block.
     Each block is evaluated when it is reached, so a leaf's working words
     never outgrow one block.
     """
-    for lo in range(0, n, _SCAN_CHUNK):
-        yield lo, f.values(start + lo, min(_SCAN_CHUNK, n - lo))
+    check_budget(n, "bytes", f"value table of {f.name} on [{start}, {start + n})")
+    return ((lo, f.values(start + lo, min(_SCAN_CHUNK, n - lo))) for lo in range(0, n, _SCAN_CHUNK))
 
 
 def sequence_values(f: Sequence, n: int, start: int = 0) -> np.ndarray:
     """Value table of f on [start, start + n) as uint8, refused over the budget."""
-    check_budget(n, "bytes", f"value table of {f.name} on [{start}, {start + n})")
+    blocks = value_blocks(f, n, start)  # the budget check, before the table is allocated
     out = np.empty(n, dtype=np.uint8)
-    for lo, block in value_blocks(f, n, start):
+    for lo, block in blocks:
         out[lo : lo + len(block)] = block
     return out
 
@@ -354,8 +346,8 @@ def union_density_experiment(
     if gamma < 0 or nu < 1:
         raise ValueError(f"need gamma >= 0 and nu >= 1, got gamma={gamma}, nu={nu}")
     what = f"union bitset of k**nu = {k}**{nu}"
-    if nu >= _BUDGET.bit_length():  # k**nu >= 2**nu is over: refuse before the power
-        raise RangeError(f"{what}: at least 2**{nu} bits exceed the budget of {_BUDGET} bits")
+    if nu >= BUDGET.bit_length():  # k**nu >= 2**nu is over: refuse before the power
+        raise RangeError(f"{what}: at least 2**{nu} bits exceed the budget of {BUDGET} bits")
     total = k**nu
     check_budget(total, "bits", what)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import sys
 
 from .errors import RangeError
@@ -41,7 +42,7 @@ class Word:
     def __init__(self, base: int, digits):
         if base < 2:
             raise ValueError(f"base must be >= 2, got {base}")
-        digits = tuple(digits)
+        digits = tuple(map(operator.index, digits))  # a non-integer digit is a TypeError in every base
         for d in digits:
             if not 0 <= d < base:
                 raise ValueError(f"digit {d} out of range for base {base}")

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one budget of every table.
+
+Each builder checks its own table with `check_budget` before allocating it.
+"""
+
+BUDGET = 1 << 31  # the most any one table may take, in bytes, bits or word compares
 
 
 class RangeError(ValueError):
@@ -15,3 +20,9 @@ class ExprError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
+
+
+def check_budget(size: int, unit: str, what: str) -> None:
+    """RangeError when `what` needs more than the budget; call it before allocating."""
+    if size > BUDGET:
+        raise RangeError(f"{what}: {size} {unit} exceed the budget of {BUDGET} {unit}")

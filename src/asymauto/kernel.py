@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .digits import Word, expand_padded, value
-from .density import _BUDGET, Checkpoints, check_budget, prefix_counts, sequence_values
-from .errors import RangeError
+from .density import Checkpoints, prefix_counts, sequence_values
+from .errors import BUDGET, RangeError, check_budget
 from .seqlib import Sequence, compress
 
 
@@ -139,9 +139,9 @@ def kernel_words(f: Sequence, k: int, depth: int, cps: Checkpoints) -> KernelWor
         raise ValueError(f"depth must be nonnegative, got {depth}")
     # the k**depth elements of the last level alone need over k**depth bytes of packed
     # words: refuse a level over the budget before computing a power past it
-    if depth >= _BUDGET.bit_length() or k**depth > _BUDGET:
+    if depth >= BUDGET.bit_length() or k**depth > BUDGET:
         raise RangeError(
-            f"the {k}**{depth} kernel elements at depth {depth} exceed the budget of {_BUDGET} bytes"
+            f"the {k}**{depth} kernel elements at depth {depth} exceed the budget of {BUDGET} bytes"
         )
     n_final = cps.final
     d = (k ** (depth + 1) - 1) // (k - 1)

@@ -39,7 +39,7 @@ import operator
 import numpy as np
 
 from .digits import INT_LIMIT
-from .errors import CoverageError, RangeError
+from .errors import CoverageError, RangeError, check_budget
 from .smooth import enumerate_smooth
 
 _U1 = np.uint64(1)
@@ -442,15 +442,21 @@ def sequence_from_file(path) -> Sequence:
     of about `_FILE_BLOCK` bytes: a block of lines of at most 2 bytes maps a
     2-byte key per line through one 65,536-entry id table, and only labels
     it sees first go through Python; a block with a longer line looks every
-    line up in the label dict.  First appearance orders the alphabet.
+    line up in the label dict.  First appearance orders the alphabet.  A table
+    over the budget is refused at the block that passes it, before any more
+    of the file is read.
     """
+    name = f"file:{path}"
     index: dict = {}
     key_ids = np.full(1 << 16, -1, dtype=np.int32)
+    parts, lines = [], 0
     with open(path, "rb") as fh:
-        parts = [_block_ids(block, offset, index, key_ids) for offset, block in _file_blocks(fh)]
+        for offset, block in _file_blocks(fh):
+            parts.append(_block_ids(block, offset, index, key_ids))
+            lines += len(parts[-1])
+            check_budget(lines, "bytes", f"value table of {name} to line {lines}")
     if not parts:
         raise ValueError(f"{path}: empty sequence file")
-    name = f"file:{path}"
     _check_alphabet_size(name, len(index))
     table = np.concatenate(parts)
 
@@ -567,7 +573,7 @@ def _two_three_tables():
 
     The 1,303 3-smooth numbers below 2**63, built on first use.
     """
-    entries = enumerate_smooth(_MAX_INDEX).entries
+    entries = enumerate_smooth(_MAX_INDEX)
     # H_1, H_2, ...: the parity of H_0 = 1 holds below H_1, at 0 too
     breaks = np.array([e.value for e in entries[1:]], dtype=np.uint64)
     return breaks, np.array([e.parity for e in entries], dtype=np.uint8)

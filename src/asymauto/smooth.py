@@ -1,11 +1,12 @@
 """Ordered enumeration of 3-smooth numbers 2**a * 3**b and gap diagnostics.
 
-The table is produced by the classic two-pointer merge of the doubling and
-tripling ladders, so it stays memory-light at any coverage.  Entries are plain
-Python integers: gap statistics over index windows in the thousands need
-values far beyond 64 bits, and exactness matters more than word size here.
-Gap ratios are reported as exact integer pairs; decimals are presentation
-only.
+A table is the tuple of its `SmoothEntry` rows, produced by the classic
+two-pointer merge of the doubling and tripling ladders.  `first_smooth` and
+`enumerate_smooth` check a bound on its value bytes against the package's one
+budget before the merge runs.  Entries are plain Python integers: gap
+statistics over index windows in the thousands need values far beyond 64
+bits, and exactness matters more than word size here.  Gap ratios are reported
+as exact integer pairs; decimals are presentation only.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import RangeError
+from .errors import RangeError, check_budget
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,7 +32,7 @@ class SmoothEntry:
         return (self.alpha + self.beta) & 1
 
 
-def _merge(stop) -> list:
+def _merge(stop) -> tuple:
     """Two-pointer ladder merge; `stop(candidate, count)` ends the run."""
     entries = [SmoothEntry(1, 0, 0)]
     i2 = i3 = 0
@@ -44,7 +45,7 @@ def _merge(stop) -> list:
         else:
             nxt = SmoothEntry(c3, e3.alpha, e3.beta + 1)
         if stop(nxt.value, len(entries)):
-            return entries
+            return tuple(entries)
         entries.append(nxt)
         if nxt.value == c2:
             i2 += 1
@@ -52,41 +53,24 @@ def _merge(stop) -> list:
             i3 += 1
 
 
-class SmoothTable:
-    """Strictly increasing enumeration of {2**a 3**b}, complete up to `limit`."""
-
-    __slots__ = ("entries", "limit")
-
-    def __init__(self, entries, limit: int):
-        self.entries = tuple(entries)
-        self.limit = limit
-
-    @classmethod
-    def first(cls, count: int) -> "SmoothTable":
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        entries = _merge(lambda v, n: n >= count)
-        return cls(entries, entries[-1].value)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i) -> SmoothEntry:
-        return self.entries[i]
-
-    def values(self) -> tuple:
-        return tuple(e.value for e in self.entries)
+def first_smooth(count: int) -> tuple:
+    """The first `count` 3-smooth numbers, increasing, with exponents."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    check_budget(first_bytes(count), "bytes", f"3-smooth table of the first {count} entries")
+    return _merge(lambda v, n: n >= count)
 
 
-def enumerate_smooth(limit: int) -> SmoothTable:
+def enumerate_smooth(limit: int) -> tuple:
     """All 3-smooth numbers <= limit, increasing, with exponents."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    return SmoothTable(_merge(lambda v, _: v > limit), limit)
+    check_budget(limit_bytes(limit), "bytes", f"3-smooth table up to {limit}")
+    return _merge(lambda v, _: v > limit)
 
 
 def first_bytes(count: int) -> int:
-    """An upper bound on the value bytes of `SmoothTable.first(count)`.
+    """An upper bound on the value bytes of `first_smooth(count)`.
 
     With s = isqrt(count), the (s + 1)**2 > count pairs (a, b) with
     a + 2b <= 2s give values 2**a 3**b <= 2**(2s), so each of the first
@@ -129,7 +113,7 @@ class RatioProfile:
         return self.numerator / self.denominator
 
 
-def ratio_profile(table: SmoothTable, i_min: int, i_max: int) -> RatioProfile:
+def ratio_profile(table: tuple, i_min: int, i_max: int) -> RatioProfile:
     """Max of H_{i+1}/H_i over i in [i_min, i_max); needs entry i_max present."""
     if not 0 <= i_min < i_max:
         raise ValueError(f"empty or invalid index window [{i_min}, {i_max})")
@@ -229,7 +213,7 @@ def kronecker_to_json(gaps: KroneckerGaps) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def table_to_csv(table: SmoothTable):
+def table_to_csv(table: tuple):
     """CSV rows index,H,alpha,beta,ratio_to_next (last ratio left empty), one at a time."""
     yield "index,H,alpha,beta,ratio_to_next\n"
     for i in range(len(table)):

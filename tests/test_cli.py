@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import asymauto
-from asymauto import acceptance, density, smooth
+from asymauto import acceptance, density, errors, seqlib, smooth
 from asymauto.acceptance import VERIFY_COMMANDS, write_verify_outputs
 from asymauto.cli import build_sequence, main, parse_expr
 from asymauto.errors import ExprError
@@ -246,8 +246,7 @@ def test_smooth_tables_refused_before_enumerating(capsys, monkeypatch, argv, err
     def refuse(*args):
         raise AssertionError("enumerated before the check")
 
-    monkeypatch.setattr(smooth, "enumerate_smooth", refuse)
-    monkeypatch.setattr(smooth.SmoothTable, "first", refuse)
+    monkeypatch.setattr(smooth, "_merge", refuse)
     start = time.perf_counter()
     assert main(argv) == 3
     assert time.perf_counter() - start < 1
@@ -320,6 +319,9 @@ def test_huge_powers_refused_before_computing_them(argv, err):
      "error: --json writes the --kronecker pairs; pass --kronecker too"),
     (["smooth", "--limit", str(10**3000), "--json", "F"],
      "error: --json writes the --kronecker pairs; pass --kronecker too"),
+    # a negative --max-shift used to pass and was written into the '#' line
+    (["report", "--seq", "two-three", "--k", "2", "--l", "3", "--nmax", "4096", "--max-shift", "-1"],
+     "error: max_shift must be nonnegative, got -1"),
 ])
 def test_bad_option_values_are_usage_errors(capsys, monkeypatch, tmp_path, argv, err):
     monkeypatch.chdir(tmp_path)  # where a verify run would write its outputs
@@ -350,6 +352,42 @@ def test_eval_budget_checked_before_evaluating(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("range error: value table") and "budget" in captured.err
     assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_fit_sweep_budget_refused_in_one_line(capsys, monkeypatch):
+    # periods 1..20000 at N = 20000 keep about 10 GB of fits: refused before any value is read
+    def refuse(*args):
+        raise AssertionError("evaluated before the budget check")
+
+    monkeypatch.setattr(Sequence, "values", refuse)
+    start = time.perf_counter()
+    assert main(["periodic-fit", "--seq", "two-three", "--qmax", "20000", "--n", "20000"]) == 3
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("range error: periodic fits of 20000 periods up to 20000: ")
+    assert "budget" in err and err.count("\n") == 1
+
+
+def test_file_table_refused_over_the_budget_as_it_is_read(capsys, monkeypatch, tmp_path):
+    # blocks of 64 bytes hold 32 lines: the fourth block passes a budget of 100 bytes,
+    # and the 309 blocks after it are not read
+    path = tmp_path / "labels.txt"
+    path.write_text("a\nb\n" * 5000, encoding="utf-8")
+    monkeypatch.setattr(errors, "BUDGET", 100)
+    monkeypatch.setattr(seqlib, "_FILE_BLOCK", 64)
+    blocks, real = [], seqlib._block_ids
+
+    def spy(*args):
+        blocks.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(seqlib, "_block_ids", spy)
+    assert main(["eval", "--seq", f"file:{path}", "--range", "0:1"]) == 3
+    assert blocks == [0, 64, 128, 192]
+    captured = capsys.readouterr()
+    assert captured.err == (f"range error: value table of file:{path} to line 128: "
+                            "128 bytes exceed the budget of 100 bytes\n")
     assert captured.out == ""
 
 

@@ -9,6 +9,7 @@ import pytest
 from asymauto import (
     Checkpoints,
     RangeError,
+    Sequence,
     Verdict,
     cobham_report,
     multiplicatively_independent,
@@ -237,6 +238,14 @@ def test_report_exploratory_base_runs():
     assert isinstance(report.narrative["summary"], list)
 
 
+def test_report_max_shift_zero_has_no_shift_rows_and_negative_is_refused():
+    kwargs = dict(depth_k=1, depth_l=1, cps=Checkpoints.geometric(1 << 8, 1 << 10),
+                  tau=0.25, max_period=2)
+    assert cobham_report(periodic([0, 1]), 2, 3, max_shift=0, **kwargs).shifts == ()
+    with pytest.raises(ValueError, match=r"^max_shift must be nonnegative, got -1$"):
+        cobham_report(periodic([0, 1]), 2, 3, max_shift=-1, **kwargs)
+
+
 def test_fits_csv_shape():
     fits = periodic_fit_sweep(periodic([0, 1]), range(1, 4), Checkpoints((1 << 10,)))
     text = fits_to_csv(fits)
@@ -256,6 +265,17 @@ def test_sweep_rejects_periods_longer_than_the_prefix():
         periodic_fit_sweep(periodic([0, 1]), range(1, 1), Checkpoints((10,)))
     (fit,) = periodic_fit_sweep(periodic([0, 1]), [10], Checkpoints((10,)))
     assert fit.min_margin == 1.0
+
+
+def test_sweep_fits_checked_against_the_budget_before_evaluating(monkeypatch):
+    # periods 1..20000 keep 48 bytes for each of their 200010000 residues
+    def refuse(*args):
+        raise AssertionError("evaluated before the budget check")
+
+    monkeypatch.setattr(Sequence, "values", refuse)
+    with pytest.raises(RangeError, match=r"^periodic fits of 20000 periods up to 20000: "
+                                         r"9600480000 bytes exceed the budget of 2147483648 bytes$"):
+        periodic_fit_sweep(seq_two_three(), range(1, 20001), Checkpoints((20000,)))
 
 
 def test_sweep_table_checked_against_the_budget():

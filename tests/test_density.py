@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -458,3 +459,16 @@ def test_profile_exports(tmp_path):
     obj = json.loads(profile.to_json())
     assert obj["checkpoints"] == [256, 512, 1024]
     assert len(obj["counts"]) == 3
+
+
+def test_value_tables_refused_over_the_budget_before_evaluating(monkeypatch):
+    # value_blocks checks when it is called, not at its first block
+    def refuse(*args):
+        raise AssertionError("evaluated before the budget check")
+
+    monkeypatch.setattr(Sequence, "values", refuse)
+    err = ("value table of two-three on [5, 2147483654): "
+           "2147483649 bytes exceed the budget of 2147483648 bytes")
+    for build in (density_mod.value_blocks, density_mod.sequence_values):
+        with pytest.raises(RangeError, match=f"^{re.escape(err)}$"):
+            build(seq_two_three(), (1 << 31) + 1, 5)

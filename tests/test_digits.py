@@ -225,6 +225,14 @@ def test_word_validation_messages_at_the_container_boundary():
         concat(Word(256, (1,)), Word(257, (1,)))
 
 
+def test_non_integer_digits_refused_in_every_base():
+    # a base-300 word once took the digit 1.5, and its value was the float 1.5
+    for k in (10, 256, 300):
+        for digits in ((1.5,), (1, 0.0)):
+            with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+                Word(k, digits)
+
+
 def test_chunk_tables_are_built_on_first_use_not_at_import():
     # a fresh import must not pay for any table: the benchmark times it as set-up
     env = dict(os.environ, PYTHONPATH=str(Path(asymauto.__file__).parents[1]))

@@ -203,7 +203,7 @@ def test_two_three_run_length_fill_at_each_breakpoint():
     # breakpoint falls on the first, second or third term; strides up to 3**4
     limit = 10**6
     f, naive = seq_two_three(), two_three_naive(limit)
-    for h in enumerate_smooth(limit).values():
+    for h in (e.value for e in enumerate_smooth(limit)):
         for k, a in TWO_THREE_STRIDES:
             step = k**a
             for first in (x for x in (h - 2 * step, h - step, h) if x >= 0):
@@ -239,7 +239,7 @@ def test_two_three_exact_beside_the_largest_breakpoints(leaves):
     # near 2**63 adjacent indices are not distinct as float64, so a search
     # with a Python int needle would place H - 1 past the breakpoint H
     f, naive, _ = leaves["two-three"]
-    top = enumerate_smooth(INT_LIMIT - 1).values()[-64:]
+    top = [e.value for e in enumerate_smooth(INT_LIMIT - 1)[-64:]]
     probes = [n for h in top for n in (h - 1, h, h + 1) if n < INT_LIMIT]
     assert [f(n) for n in probes] == [naive(n) for n in probes]
     assert max(top) > 2**53

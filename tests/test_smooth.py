@@ -1,15 +1,16 @@
+import re
 from fractions import Fraction
 
 import pytest
 
-from asymauto import RangeError, enumerate_smooth, kronecker_gap, ratio_profile
-from asymauto.smooth import SmoothTable, first_bytes, limit_bytes, table_to_csv
+from asymauto import RangeError, enumerate_smooth, first_smooth, kronecker_gap, ratio_profile, smooth
+from asymauto.smooth import first_bytes, limit_bytes, table_to_csv
 
 from helpers import kronecker_pairs_by_fractions, smooth_by_double_loop
 
 
 def test_enumeration_examples():
-    assert [e.value for e in enumerate_smooth(12).entries] == [1, 2, 3, 4, 6, 8, 9, 12]
+    assert [e.value for e in enumerate_smooth(12)] == [1, 2, 3, 4, 6, 8, 9, 12]
     only = enumerate_smooth(1)
     assert len(only) == 1 and only[0].value == 1 and (only[0].alpha, only[0].beta) == (0, 0)
     assert len(enumerate_smooth(10**6)) == 142
@@ -17,7 +18,7 @@ def test_enumeration_examples():
 
 def test_enumeration_matches_double_loop():
     table = enumerate_smooth(10**6)
-    assert [(e.value, e.alpha, e.beta) for e in table.entries] == smooth_by_double_loop(10**6)
+    assert [(e.value, e.alpha, e.beta) for e in table] == smooth_by_double_loop(10**6)
 
 
 def _value_bytes(entries) -> int:
@@ -25,19 +26,32 @@ def _value_bytes(entries) -> int:
 
 
 def test_byte_bounds_hold():
-    # the bounds the CLI checks against the budget before enumerating
+    # the bounds first_smooth and enumerate_smooth check against the budget before enumerating
     rows = smooth_by_double_loop(10**40)
     for n in (1, 2, 3, 4, 10, 99, 100, 101, 1000, 5001):
         assert first_bytes(n) >= _value_bytes(rows[:n]), n
-        assert [e.value for e in SmoothTable.first(n).entries] == [v for v, _, _ in rows[:n]]
+        assert [e.value for e in first_smooth(n)] == [v for v, _, _ in rows[:n]]
     for limit in (1, 2, 3, 8, 9, 12, 10**6, 3**20, 3**20 - 1, 10**40):
         below = [row for row in rows if row[0] <= limit]
         assert limit_bytes(limit) >= _value_bytes(below), limit
     assert first_bytes(0) == first_bytes(-3) == limit_bytes(0) == limit_bytes(-3) == 0
 
 
+@pytest.mark.parametrize("build, arg, err", [
+    (first_smooth, 10**7, "3-smooth table of the first 10000000 entries: 7910000000 bytes"),
+    (enumerate_smooth, 10**1000, f"3-smooth table up to {10**1000}: {limit_bytes(10**1000)} bytes"),
+])
+def test_tables_refused_over_the_budget_before_merging(monkeypatch, build, arg, err):
+    def refuse(stop):
+        raise AssertionError("enumerated before the check")
+
+    monkeypatch.setattr(smooth, "_merge", refuse)
+    with pytest.raises(RangeError, match=f"^{re.escape(err)} exceed the budget of 2147483648 bytes$"):
+        build(arg)
+
+
 def test_exponent_exactness():
-    for e in enumerate_smooth(10**5).entries:
+    for e in enumerate_smooth(10**5):
         prod = 1
         for _ in range(e.alpha):
             prod *= 2
@@ -47,17 +61,17 @@ def test_exponent_exactness():
 
 
 def test_closure_under_doubling_and_tripling():
-    table = enumerate_smooth(10**5)
-    values = set(table.values())
+    limit = 10**5
+    values = {e.value for e in enumerate_smooth(limit)}
     for v in values:
-        if 2 * v <= table.limit:
+        if 2 * v <= limit:
             assert 2 * v in values
-        if 3 * v <= table.limit:
+        if 3 * v <= limit:
             assert 3 * v in values
 
 
 def test_ratio_profile_windows():
-    table = SmoothTable.first(1100)
+    table = first_smooth(1100)
     head = ratio_profile(table, 0, 4)
     assert (head.numerator, head.denominator) == (2, 1)
     # exact maxima recomputed with the raw entries before freezing
@@ -75,13 +89,13 @@ def test_ratio_profile_windows():
 def test_running_max_envelope_drops_after_gap_condition():
     # once every later entry has alpha >= gamma' or beta >= delta, the gap
     # ratio stays below 1+t for the pair returned by the exponent search
-    table = SmoothTable.first(3000)
+    table = first_smooth(3000)
     for t in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 20)):
         gaps = kronecker_gap(t)
         delta = gaps.smallest_gamma.delta
         gamma_p = gaps.smallest_delta.gamma
         start = None
-        for i, e in enumerate(table.entries):
+        for i, e in enumerate(table):
             if e.alpha >= gamma_p or e.beta >= delta:
                 if start is None:
                     start = i
