@@ -30,7 +30,13 @@ from .cobham import (
     periodic_fit_sweep,
     shift_invariance,
 )
-from .density import Checkpoints, VerdictPolicy, discrepancy_profile, verdict
+from .density import (
+    Checkpoints,
+    VerdictPolicy,
+    check_verdict_schedule,
+    discrepancy_profile,
+    verdict,
+)
 from .errors import ExprError, RangeError
 from .kernel import check_labeling_consistency, cluster_kernel, default_depth, quotient_to_json
 from .seqlib import (
@@ -291,10 +297,12 @@ def _expect_exit(args, v) -> int:
 
 
 def _cmd_discrepancy(args) -> int:
-    policy = _policy(args)  # refuse a bad policy before the scan
+    policy = _policy(args)  # refuse a bad policy or schedule before the scan
+    cps = _checkpoints(args)
+    check_verdict_schedule(cps)
     f = build_sequence(args.f)
     g = build_sequence(args.g)
-    profile = discrepancy_profile(f, g, _checkpoints(args))
+    profile = discrepancy_profile(f, g, cps)
     v = verdict(profile, policy)
     _profile_output(args, profile, v)
     return _expect_exit(args, v)

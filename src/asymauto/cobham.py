@@ -16,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (
+    VERDICT_CHECKPOINTS,
     Checkpoints,
     DiscrepancyProfile,
     Verdict,
     VerdictPolicy,
+    check_verdict_schedule,
     discrepancy_profile,
     prefix_counts,
     sequence_values,
@@ -51,6 +53,7 @@ def shift_invariance(
     """Profile f vs shift(f, m) and judge it under the declared policy."""
     if m < 1:
         raise ValueError(f"shift must be >= 1, got {m}")
+    check_verdict_schedule(cps)
     profile = discrepancy_profile(f, shift(f, m), cps)
     return ShiftProfile(m, profile, verdict(profile, policy))
 
@@ -82,6 +85,11 @@ _FIT_KEYS = 1 << 12
 # symbol's digits in the profile name; tracemalloc measured 42.5 on two-three's
 # sweep of the periods 1..2000 at N = 2000
 _FIT_RESIDUE_BYTES = 48
+# bytes per (residue, symbol) slot of a modulus, per checkpoint plus one: each
+# checkpoint's int64 count and its fold into a period, and a chunk's bincounts;
+# tracemalloc measured 14.9 on periodic(range(256)) for q = 250..4000 at N = 2**15
+# (6 checkpoints), and 14.1 at N = 2**16 (3 checkpoints)
+_COUNT_BYTES = 16
 
 
 def _moduli(periods, n_sym: int) -> list:
@@ -133,8 +141,7 @@ def _fit(f: Sequence, counts: tuple, q: int, cps: Checkpoints, policy) -> Period
         cps,
         tuple(n - int(c[agree].sum()) for n, c in zip(cps, counts)),
     )
-    # verdicts need three checkpoints of decay evidence
-    v = verdict(profile, policy) if len(cps) >= 3 else Verdict.INCONCLUSIVE
+    v = verdict(profile, policy) if len(cps) >= VERDICT_CHECKPOINTS else Verdict.INCONCLUSIVE
     return PeriodicFit(
         period=q,
         symbols=tuple(int(s) for s in symbols),
@@ -142,6 +149,31 @@ def _fit(f: Sequence, counts: tuple, q: int, cps: Checkpoints, policy) -> Period
         profile=profile,
         verdict=v,
     )
+
+
+def _fit_moduli(f: Sequence, periods, cps: Checkpoints) -> list:
+    """The `_moduli` of the fits of `periods` at cps, checked before any evaluation.
+
+    Refuses an empty sweep, a period outside [1, cps.final], and fits or
+    residue counts over the budget; the counts of the largest modulus M take
+    about _COUNT_BYTES * n_sym * (len(cps) + 1) * M bytes.
+    """
+    if not periods:
+        raise ValueError("no period to fit")
+    for q in periods:
+        if q < 1:
+            raise ValueError(f"period must be >= 1, got {q}")
+        if cps.final < q:
+            raise ValueError(f"fitting prefix {cps.final} shorter than period {q}")
+    distinct = set(periods)
+    check_budget(_FIT_RESIDUE_BYTES * sum(distinct), "bytes",
+                 f"periodic fits of {len(distinct)} periods up to {max(distinct)}")
+    n_sym = len(f.alphabet)
+    moduli = _moduli(distinct, n_sym)
+    top = max(moduli)
+    check_budget(_COUNT_BYTES * n_sym * (len(cps) + 1) * top, "bytes",
+                 f"residue counts of {n_sym} symbols mod {top} at {len(cps)} checkpoints")
+    return moduli
 
 
 def periodic_fit_sweep(
@@ -155,22 +187,14 @@ def periodic_fit_sweep(
     periods is a list or range; the result follows its order.  f is evaluated
     once, and the periods share the counts of a few moduli: one (residue mod
     M, symbol) count per modulus M, folded into each period that divides M.
-    The fits are refused over the budget before f is evaluated.
+    The fits and their counts are refused over the budget before f is evaluated.
     """
-    if not periods:
-        raise ValueError("no period to fit")
-    for q in periods:
-        if q < 1:
-            raise ValueError(f"period must be >= 1, got {q}")
-        if cps.final < q:
-            raise ValueError(f"fitting prefix {cps.final} shorter than period {q}")
-    distinct = set(periods)
-    check_budget(_FIT_RESIDUE_BYTES * sum(distinct), "bytes",
-                 f"periodic fits of {len(distinct)} periods up to {max(distinct)}")
+    moduli = _fit_moduli(f, periods, cps)
     table = sequence_values(f, cps.final)
     n_sym = len(f.alphabet)
+    distinct = set(periods)
     fits = {}
-    for m in _moduli(periods, n_sym):
+    for m in moduli:
         counts = _residue_counts(table, m, n_sym, cps)
         for q in distinct - fits.keys():
             if m % q == 0:
@@ -314,6 +338,12 @@ def cobham_report(
     """
     if max_shift < 0:
         raise ValueError(f"max_shift must be nonnegative, got {max_shift}")
+    if max_period < 1:
+        raise ValueError(f"max_period must be >= 1, got {max_period}")
+    if max_shift:
+        check_verdict_schedule(cps)
+    periods = range(1, max_period + 1)
+    _fit_moduli(f, periods, cps)  # the fits' refusals, before the kernels scan
     if depth_k is None:
         depth_k = default_depth(k)
     if depth_l is None:
@@ -323,7 +353,7 @@ def cobham_report(
     shifts = tuple(
         shift_invariance(f, m, cps, policy) for m in range(1, max_shift + 1)
     )
-    fits = tuple(periodic_fit_sweep(f, range(1, max_period + 1), cps, policy))
+    fits = tuple(periodic_fit_sweep(f, periods, cps, policy))
 
     indep = multiplicatively_independent(k, l)
     stable = quotient_k.finiteness == "stable" and quotient_l.finiteness == "stable"

@@ -194,16 +194,24 @@ class VerdictPolicy:
             raise ValueError(f"rho must exceed 1, got {self.rho}")
 
 
+# a verdict reads the fractions at the last three checkpoints
+VERDICT_CHECKPOINTS = 3
+
+
+def check_verdict_schedule(cps: Checkpoints) -> None:
+    """ValueError unless a verdict can read `cps`; a command checks it before its scan."""
+    if len(cps) < VERDICT_CHECKPOINTS:
+        raise ValueError(f"verdict needs at least {VERDICT_CHECKPOINTS} checkpoints")
+
+
 def verdict(profile: DiscrepancyProfile, policy: VerdictPolicy = VerdictPolicy()) -> Verdict:
     """Equal when the tail is small and shrinking, Distinct when it is flat-high.
 
-    Needs at least three checkpoints.  The package never claims a limit; this
-    is a finite-scale reading under the declared policy.
+    Needs `VERDICT_CHECKPOINTS` checkpoints.  The package never claims a limit;
+    this is a finite-scale reading under the declared policy.
     """
-    fr = profile.fractions
-    if len(fr) < 3:
-        raise ValueError("verdict needs at least 3 checkpoints")
-    f3, f2, f1 = fr[-3], fr[-2], fr[-1]
+    check_verdict_schedule(profile.checkpoints)
+    f3, f2, f1 = profile.fractions[-3:]
     if f1 <= policy.tau and f3 >= policy.rho * f2 and f2 >= policy.rho * f1:
         return Verdict.EQUAL
     if min(f3, f2, f1) >= 10 * policy.tau:

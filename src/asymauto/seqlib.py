@@ -18,20 +18,19 @@ of the 16-bit window l, so a block that crosses fewer h than it has terms
 evaluates the h statistics once per h, fills them by runs and looks up l;
 other blocks, and periodic sequences, evaluate the uint64 progression from
 `_progression` with whole-array word operations.  `file:` slices its table
-with a step; it loads the table in blocks of whole lines, with every line break
-of `str.splitlines` turned into \n by bytes methods, and keys a block whose
-lines have at most 2 bytes by the 2 bytes before each \n, one lookup in a
-65,536-entry id table per line, so only a label seen first goes through Python;
-a block with a longer line looks each line up in the label dict.  Of the
-per-term statistics, a bit length is the popcount of
-the smeared word, and the integer square root is a Newton descent from
-above with no masks and no correction.  Nothing here touches floating
-point.  Sequences are immutable after construction; evaluation is pure.
+with a step; it loads the table in blocks of whole lines by one of two paths.
+An ASCII block whose lines have at most 2 bytes has its line breaks turned into
+\n by bytes methods and is keyed by the 2 bytes before each \n, one lookup in
+a 65,536-entry id table per line, so only a label seen first goes through
+Python; any other block is decoded and split by `str.splitlines`, and each line
+is looked up in the label dict.  Of the per-term statistics, a bit length is
+the popcount of the smeared word, and the integer square root is a Newton
+descent from above with no masks and no correction.  Nothing here touches
+floating point.  Sequences are immutable after construction; evaluation is pure.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 import operator
@@ -325,8 +324,9 @@ def periodic(values) -> Sequence:
 # bytes per read of a sequence file; a block runs to the last line break of its read
 _FILE_BLOCK = 1 << 18
 
-# the line breaks of str.splitlines besides \n and \r\n, as UTF-8 bytes: the
-# one-byte ones by one translate, U+0085, U+2028 and U+2029 by replace
+# the line breaks of str.splitlines besides \n and \r\n, as UTF-8 bytes: an ASCII
+# block turns the one-byte ones into \n by one translate; U+0085, U+2028 and
+# U+2029 only cut a read that has no \n
 _ONE_BYTE_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 _ASCII_BREAKS = bytes.maketrans(b"".join(_ONE_BYTE_BREAKS), b"\n" * 6)
 _WIDE_BREAKS = (b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9")
@@ -368,83 +368,62 @@ def _file_blocks(fh):
         yield offset, tail
 
 
-# where the data of a bytes object starts, past CPython's header
-_BYTES_DATA = bytes.__basicsize__ - 1
+def _block_ids(block: bytes, offset: int, index: dict, key_ids: np.ndarray, name: str):
+    """The label id of each line of a block `offset` bytes into the file `name`.
 
-
-def _decode_error_in_file(exc: UnicodeDecodeError, offset: int) -> UnicodeDecodeError:
-    """`exc` of a block `offset` > 0 bytes into its file, as a decode of the whole file reports it.
-
-    The error's text shows the byte at its start, read from its object, so the
-    object runs from the file's start to the error's end.  It is `bytes(n)`, which
-    CPython takes zeroed from calloc, so a large prefix stays unmapped zero pages
-    instead of a copy; the bad bytes are written in at the end before any other
-    code holds the object.
+    Unseen labels join `index` in order.  An ASCII block whose lines all have
+    at most 2 bytes is keyed in numpy; any other block is split by
+    `str.splitlines`.  Ids of 256 and above wrap: the caller refuses such an
+    alphabet anyway.
     """
-    start, end = offset + exc.start, offset + exc.end
-    whole = bytes(end)  # end >= 2, so a fresh object and never a shared singleton
-    ctypes.memmove(id(whole) + _BYTES_DATA + start, exc.object[exc.start : exc.end], end - start)
-    return UnicodeDecodeError(exc.encoding, whole, start, end, exc.reason)
-
-
-def _block_ids(block: bytes, offset: int, index: dict, key_ids: np.ndarray) -> np.ndarray:
-    """The label id of each line of one block, adding unseen labels to `index` in order.
-
-    Ids of 256 and above wrap: the caller refuses such an alphabet anyway.
-    """
-    is_ascii = block.isascii()
-    if not is_ascii:
-        try:
-            block.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            if offset:
-                raise _decode_error_in_file(exc, offset) from None
-            raise
-    # \r\n first: \r before a wide break is a break of its own
-    if b"\r" in block:
-        block = block.replace(b"\r\n", b"\n")
-    if not is_ascii:
-        for wide in _WIDE_BREAKS:
-            block = block.replace(wide, b"\n")
-    if any(byte in block for byte in _ONE_BYTE_BREAKS):
-        block = block.translate(_ASCII_BREAKS)
-    if not block.endswith(b"\n"):
-        block += b"\n"
-    # two leading line breaks, so every line has two bytes before its end
-    buf = np.frombuffer(b"\n\n" + block, dtype=np.uint8)
-    text = buf != 10
-    if (text[:-2] & text[1:-1] & text[2:]).any():
-        labels = block.decode("utf-8").split("\n")[:-1]
-        for label in dict.fromkeys(labels):
-            index.setdefault(label, len(index))
-        return np.fromiter(map(index.__getitem__, labels), np.int64, len(labels)).astype(np.uint8)
-    # every line has at most 2 bytes: key it by the 2 bytes before its end, whose
-    # bytes after their last \n are the label, so one key never names two labels
-    pairs = buf[:-2].astype(np.uint16)
-    pairs <<= 8
-    pairs |= buf[1:-1]
-    keys = pairs.take(np.flatnonzero(buf[2:] == 10))
-    ids = key_ids.take(keys)
-    unseen = ids < 0
-    if unseen.any():
-        fresh, first = np.unique(keys[unseen], return_index=True)
-        for key in fresh[np.argsort(first)].tolist():
-            label = bytes(divmod(key, 256)).rpartition(b"\n")[2].decode("utf-8")
-            key_ids[key] = index.setdefault(label, len(index))
-        ids = key_ids.take(keys)
-    return ids.astype(np.uint8)
+    if block.isascii():
+        # \r\n first, then the one-byte breaks
+        keyed = block.replace(b"\r\n", b"\n") if b"\r" in block else block
+        if any(byte in keyed for byte in _ONE_BYTE_BREAKS):
+            keyed = keyed.translate(_ASCII_BREAKS)
+        if not keyed.endswith(b"\n"):
+            keyed += b"\n"
+        # two leading line breaks, so every line has two bytes before its end
+        buf = np.frombuffer(b"\n\n" + keyed, dtype=np.uint8)
+        text = buf != 10
+        if not (text[:-2] & text[1:-1] & text[2:]).any():
+            # key each line by the 2 bytes before its end, whose bytes after their
+            # last \n are the label, so one key never names two labels
+            pairs = buf[:-2].astype(np.uint16)
+            pairs <<= 8
+            pairs |= buf[1:-1]
+            keys = pairs.take(np.flatnonzero(buf[2:] == 10))
+            ids = key_ids.take(keys)
+            unseen = ids < 0
+            if unseen.any():
+                fresh, first = np.unique(keys[unseen], return_index=True)
+                for key in fresh[np.argsort(first)].tolist():
+                    label = bytes(divmod(key, 256)).rpartition(b"\n")[2].decode("ascii")
+                    key_ids[key] = index.setdefault(label, len(index))
+                ids = key_ids.take(keys)
+            return ids.astype(np.uint8)
+    try:
+        labels = block.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        at = offset + exc.start
+        raise ValueError(f"{name}: invalid UTF-8 at byte {at}: {exc.reason}") from None
+    for label in dict.fromkeys(labels):
+        index.setdefault(label, len(index))
+    return np.fromiter(map(index.__getitem__, labels), np.int64, len(labels)).astype(np.uint8)
 
 
 def sequence_from_file(path) -> Sequence:
     """One symbol label per line; the line count bounds the evaluable range.
 
     Lines split as `str.splitlines` splits them.  The file is read in blocks
-    of about `_FILE_BLOCK` bytes: a block of lines of at most 2 bytes maps a
-    2-byte key per line through one 65,536-entry id table, and only labels
-    it sees first go through Python; a block with a longer line looks every
-    line up in the label dict.  First appearance orders the alphabet.  A table
-    over the budget is refused at the block that passes it, before any more
-    of the file is read.
+    of about `_FILE_BLOCK` bytes: an ASCII block of lines of at most 2 bytes
+    maps a 2-byte key per line through one 65,536-entry id table, and only
+    labels it sees first go through Python; any other block is decoded and
+    split by `str.splitlines`, and every line is looked up in the label dict.
+    First appearance orders the alphabet.  Invalid UTF-8 is refused as
+    `file:PATH: invalid UTF-8 at byte P: REASON`, P the file offset of the
+    first bad byte.  A table over the budget is refused at the block that
+    passes it, before any more of the file is read.
     """
     name = f"file:{path}"
     index: dict = {}
@@ -452,7 +431,7 @@ def sequence_from_file(path) -> Sequence:
     parts, lines = [], 0
     with open(path, "rb") as fh:
         for offset, block in _file_blocks(fh):
-            parts.append(_block_ids(block, offset, index, key_ids))
+            parts.append(_block_ids(block, offset, index, key_ids, name))
             lines += len(parts[-1])
             check_budget(lines, "bytes", f"value table of {name} to line {lines}")
     if not parts:

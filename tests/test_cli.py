@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import asymauto
-from asymauto import acceptance, density, errors, seqlib, smooth
+from asymauto import acceptance, cobham, density, errors, seqlib, smooth
 from asymauto.acceptance import VERIFY_COMMANDS, write_verify_outputs
 from asymauto.cli import build_sequence, main, parse_expr
 from asymauto.errors import ExprError
@@ -389,6 +389,46 @@ def test_file_table_refused_over_the_budget_as_it_is_read(capsys, monkeypatch, t
     assert captured.err == (f"range error: value table of file:{path} to line 128: "
                             "128 bytes exceed the budget of 100 bytes\n")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("block", [3, seqlib._FILE_BLOCK])
+def test_file_decode_error_is_one_usage_line(capsys, monkeypatch, tmp_path, block):
+    # 40 bytes of good lines, then a label whose second byte is no UTF-8
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"0\n1\n" * 10 + b"1\xff\n0\n")
+    monkeypatch.setattr(seqlib, "_FILE_BLOCK", block)
+    assert main(["discrepancy", "--f", f"file:{path}", "--g", "sqrt-parity"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: file:{path}: invalid UTF-8 at byte 41: invalid start byte\n"
+    assert captured.out == ""
+
+
+# a final checkpoint of 2**24, whose scan takes seconds
+_BIG = ["--nmax", str(1 << 24)]
+_TWO_CHECKPOINTS = [*_BIG, "--cp-first", str(1 << 23)]
+_REPORT = ["report", "--seq", "two-three", "--k", "2", "--l", "3"]
+
+
+@pytest.mark.parametrize("argv, err", [
+    ([*_REPORT, "--max-period", "0", *_BIG], "max_period must be >= 1, got 0"),
+    ([*_REPORT, *_TWO_CHECKPOINTS], "verdict needs at least 3 checkpoints"),
+    ([*_REPORT, "--max-period", "65", "--cp-first", "16", "--nmax", "64"],
+     "fitting prefix 64 shorter than period 65"),
+    (["discrepancy", "--f", "sqrt-parity", "--g", "run-parity", *_TWO_CHECKPOINTS],
+     "verdict needs at least 3 checkpoints"),
+    (["shift", "--seq", "run-parity", "--m", "1", *_TWO_CHECKPOINTS],
+     "verdict needs at least 3 checkpoints"),
+])
+def test_verdict_and_fit_arguments_refused_before_any_scan(capsys, monkeypatch, argv, err):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scanned before the refusal")
+
+    monkeypatch.setattr(Sequence, "values", refuse)
+    monkeypatch.setattr(cobham, "cluster_kernel", refuse)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_kernel_matrix_budget_is_a_range_error(capsys):

@@ -12,6 +12,7 @@ from asymauto import (
     Sequence,
     Verdict,
     cobham_report,
+    errors,
     multiplicatively_independent,
     periodic,
     periodic_fit_sweep,
@@ -21,7 +22,7 @@ from asymauto import (
     sequence_values,
     shift_invariance,
 )
-from asymauto.cobham import fits_to_csv
+from asymauto.cobham import _COUNT_BYTES, _fit_moduli, fits_to_csv
 
 from helpers import majority_by_residue_loop
 
@@ -246,6 +247,14 @@ def test_report_max_shift_zero_has_no_shift_rows_and_negative_is_refused():
         cobham_report(periodic([0, 1]), 2, 3, max_shift=-1, **kwargs)
 
 
+def test_report_without_shifts_runs_on_two_checkpoints():
+    # no shift reads a verdict; a fit on fewer than 3 checkpoints is Inconclusive
+    report = cobham_report(periodic([0, 1]), 2, 3, depth_k=1, depth_l=1,
+                           cps=Checkpoints.geometric(1 << 9, 1 << 10), max_shift=0, max_period=2)
+    assert report.shifts == ()
+    assert {p.verdict for p in report.fits} == {Verdict.INCONCLUSIVE}
+
+
 def test_fits_csv_shape():
     fits = periodic_fit_sweep(periodic([0, 1]), range(1, 4), Checkpoints((1 << 10,)))
     text = fits_to_csv(fits)
@@ -276,6 +285,43 @@ def test_sweep_fits_checked_against_the_budget_before_evaluating(monkeypatch):
     with pytest.raises(RangeError, match=r"^periodic fits of 20000 periods up to 20000: "
                                          r"9600480000 bytes exceed the budget of 2147483648 bytes$"):
         periodic_fit_sweep(seq_two_three(), range(1, 20001), Checkpoints((20000,)))
+
+
+def test_sweep_residue_counts_checked_against_the_budget_before_evaluating(monkeypatch):
+    # 256 symbols keep each period below 65 on a modulus of its own; the counts of
+    # q = 64 at 3 checkpoints take 16 * 256 * (3 + 1) * 64 bytes, while the fits'
+    # own check counts 48 * (1 + ... + 64) = 99840
+    def refuse(*args):
+        raise AssertionError("evaluated before the budget check")
+
+    monkeypatch.setattr(errors, "BUDGET", 1 << 19)
+    monkeypatch.setattr(Sequence, "values", refuse)
+    with pytest.raises(RangeError, match=r"^residue counts of 256 symbols mod 64 at 3 checkpoints: "
+                                         r"1048576 bytes exceed the budget of 524288 bytes$"):
+        periodic_fit_sweep(periodic(range(256)), range(1, 65), Checkpoints.geometric(256, 1024))
+
+
+def test_residue_count_check_covers_the_sweep_peak():
+    # one modulus of 250 residues and 256 symbols at 6 checkpoints: the checked
+    # bytes bound what tracemalloc sees, and the value table beside them
+    f, cps = periodic(range(256)), Checkpoints.geometric(1 << 10, 1 << 15)
+    checked = _COUNT_BYTES * 256 * (len(cps) + 1) * 250
+    tracemalloc.start()
+    try:
+        periodic_fit_sweep(f, [250], cps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked / 2 < peak - cps.final < checked, (peak, checked)
+
+
+@pytest.mark.parametrize("periods, cps", [
+    (range(1, 65), Checkpoints.geometric(1 << 10, 1 << 20)),  # report's default sweep
+    (range(1, 17), Checkpoints.geometric(1 << 10, 1 << 18)),  # verify's periodic-fit
+])
+def test_two_symbol_sweeps_stay_far_below_the_budget(monkeypatch, periods, cps):
+    monkeypatch.setattr(errors, "BUDGET", errors.BUDGET >> 10)
+    assert _fit_moduli(seq_two_three(), periods, cps)
 
 
 def test_sweep_table_checked_against_the_budget():
