@@ -256,14 +256,6 @@ def _mark_range(bits: np.ndarray, a: int, b: int) -> None:
     bits[lb] |= (1 << (((b - 1) & 7) + 1)) - 1
 
 
-def _popcount(bits: np.ndarray) -> int:
-    total = 0
-    step = 1 << 20
-    for lo in range(0, len(bits), step):
-        total += int(np.bitwise_count(bits[lo : lo + step]).sum(dtype=np.int64))
-    return total
-
-
 # the digits Python writes of an int by default: the floor is written as an exact
 # fraction, so a longer numerator or denominator is refused
 _FLOOR_DIGITS = 4300
@@ -377,5 +369,5 @@ def union_density_experiment(
             if x < y:
                 _mark_range(bits, x, y)
 
-    covered = _popcount(bits)
+    covered = int(np.bitwise_count(bits, out=bits).sum(dtype=np.int64))  # bits is not read again
     return UnionDensityResult(k, m, delta, gamma, nu, covered, total, p, bound)

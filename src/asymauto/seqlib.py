@@ -11,7 +11,7 @@ through `_fill_runs`, one `np.repeat` over the runs between the breakpoints
 the block crosses: two-three between its 3-smooth numbers, leading-prime
 between the 2,016 numbers 2**a - 2**b below 2**63, and sqrt-parity between
 the squares, which it lists with `math.isqrt` (a block that crosses more
-squares than it has terms takes the per-term root instead).  Run-parity
+squares than it has terms takes `math.isqrt` of each term instead).  Run-parity
 splits n = 2**16 * h + l: max_run(n) = max(max_run(h), R[l], t(h) + L[l])
 with t(h) the trailing 1s of h and R, L the longest run and the leading 1s
 of the 16-bit window l, so a block that crosses fewer h than it has terms
@@ -23,10 +23,9 @@ An ASCII block whose lines have at most 2 bytes has its line breaks turned into
 \n by bytes methods and is keyed by the 2 bytes before each \n, one lookup in
 a 65,536-entry id table per line, so only a label seen first goes through
 Python; any other block is decoded and split by `str.splitlines`, and each line
-is looked up in the label dict.  Of the per-term statistics, a bit length is
-the popcount of the smeared word, and the integer square root is a Newton
-descent from above with no masks and no correction.  Nothing here touches
-floating point.  Sequences are immutable after construction; evaluation is pure.
+is looked up in the label dict.  Of the per-term word statistics, a bit
+length is the popcount of the smeared word.  Nothing here touches floating
+point.  Sequences are immutable after construction; evaluation is pure.
 """
 
 from __future__ import annotations
@@ -57,26 +56,6 @@ def _smear(x: np.ndarray) -> np.ndarray:
     for s in (2, 4, 8, 16, 32):
         x |= x >> np.uint64(s)
     return x
-
-
-def _isqrt_u64(x: np.ndarray) -> np.ndarray:
-    """Exact floor square root on uint64 below 2**63, by integer Newton descent.
-
-    From 2**ceil(bit_length / 2) >= sqrt(x) it stops at floor(sqrt(x)); g + x // g < 2**64.
-    """
-    x = np.asarray(x, dtype=np.uint64)
-    work = np.maximum(x, _U1)
-    g = _U1 << ((np.bitwise_count(_smear(work)) + 1) >> 1)
-    while True:
-        gn = work // g
-        gn += g
-        gn >>= _U1
-        np.minimum(gn, g, out=gn)
-        if np.array_equal(gn, g):
-            break
-        g = gn
-    g[x == 0] = 0
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +514,12 @@ def seq_sqrt_parity() -> Sequence:
     """Parity of the integer square root, constant on each [j**2, (j+1)**2)."""
 
     def leaf(first, step, count):
-        lo, hi = math.isqrt(first), math.isqrt(first + step * (count - 1))
+        top = first + step * (count - 1)
+        lo, hi = math.isqrt(first), math.isqrt(top)
         if hi - lo > count:
             # more squares than terms: only when step exceeds about 2 * sqrt(first)
-            return (_isqrt_u64(_progression(first, step, count)) & _U1).astype(np.uint8)
+            roots = np.fromiter(map(math.isqrt, range(first, top + 1, step)), np.uint64, count)
+            return (roots & _U1).astype(np.uint8)
         roots = np.arange(lo, hi + 1, dtype=np.uint64)
         squares = roots[1:] * roots[1:]
         return _fill_runs(squares, (roots & _U1).astype(np.uint8), first, step, count)

@@ -451,12 +451,34 @@ def test_fit_table_budget_is_a_range_error(capsys):
     (["periodic-fit", "--seq", "two-three", "--n", "10", "--qmax", "12"], 10, 11),
     (["report", "--seq", "two-three", "--k", "2", "--l", "3", "--nmax", "32",
       "--cp-first", "8", "--tau", "0.25"], 32, 33),
+    # sweeps of 2 * 10**12 periods: refused from the range's ends, not by a walk
+    (["periodic-fit", "--seq", "two-three", "--qmax", str(2 * 10**12), "--n", str(1 << 40)],
+     1 << 40, (1 << 40) + 1),
+    ([*_REPORT, "--max-period", str(2 * 10**12), "--nmax", str(1 << 40)],
+     1 << 40, (1 << 40) + 1),
 ])
 def test_period_longer_than_fitting_prefix_is_a_usage_error(capsys, argv, n, q):
+    start = time.perf_counter()
     assert main(argv) == 2
+    assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.err == f"error: fitting prefix {n} shorter than period {q}\n"
     assert "best" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["periodic-fit", "--seq", "two-three", "--qmax", "2000000", "--n", str(1 << 40)],
+    [*_REPORT, "--max-period", "2000000", "--nmax", str(1 << 40)],
+])
+def test_fit_sweep_budget_refused_without_a_set_of_its_periods(argv):
+    # the fits' bytes come from the range's closed-form sum: a set of the
+    # 2 * 10**6 periods took the peak to 165 MiB
+    env = dict(os.environ, PYTHONPATH=str(Path(asymauto.__file__).parents[1]))
+    argv = python_with_peak_rss("-m", "asymauto.cli", *argv)
+    run = subprocess.run(argv, capture_output=True, env=env, text=True)
+    assert run.returncode == 3
+    assert run.stderr.startswith("range error: periodic fits of 2000000 periods up to 2000000: ")
+    assert peak_rss_bytes(run.stderr) < 80 << 20
 
 
 def test_expect_flag(tmp_path):

@@ -301,18 +301,52 @@ def test_sweep_residue_counts_checked_against_the_budget_before_evaluating(monke
         periodic_fit_sweep(periodic(range(256)), range(1, 65), Checkpoints.geometric(256, 1024))
 
 
-def test_residue_count_check_covers_the_sweep_peak():
-    # one modulus of 250 residues and 256 symbols at 6 checkpoints: the checked
-    # bytes bound what tracemalloc sees, and the value table beside them
-    f, cps = periodic(range(256)), Checkpoints.geometric(1 << 10, 1 << 15)
-    checked = _COUNT_BYTES * 256 * (len(cps) + 1) * 250
+def _sweep_peak(f, periods, cps) -> int:
+    """The tracemalloc peak of one periodic fit sweep."""
     tracemalloc.start()
     try:
-        periodic_fit_sweep(f, [250], cps)
-        peak = tracemalloc.get_traced_memory()[1]
+        periodic_fit_sweep(f, periods, cps)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert checked / 2 < peak - cps.final < checked, (peak, checked)
+
+
+def test_residue_count_check_covers_the_sweep_peak():
+    # 256 symbols at 6 checkpoints, on one modulus of 250 residues read in place,
+    # and on the modulus 16 folded into the periods 8, 4, 2, 1 that merge into
+    # it: the checked bytes bound what tracemalloc sees, and the value table beside them
+    f = periodic(range(256))
+    for periods, cps in (([250], Checkpoints.geometric(1 << 10, 1 << 15)),
+                         ([16, 8, 4, 2, 1], Checkpoints.geometric(1 << 7, 1 << 12))):
+        checked = _COUNT_BYTES * 256 * (len(cps) + 1) * periods[0]
+        peak = _sweep_peak(f, periods, cps)
+        assert checked / 2 < peak - cps.final < checked, (periods, peak, checked)
+
+
+def test_period_alone_reads_its_counts_in_place():
+    # a period equal to its modulus is fitted from the counts themselves, with no
+    # folded copy: about 8 bytes per (residue, symbol) slot per checkpoint plus one
+    f, cps = periodic(range(256)), Checkpoints.geometric(1 << 10, 1 << 15)
+    slots = 1000 * 256 * (len(cps) + 1)
+    peak = _sweep_peak(f, [1000], cps)
+    assert (peak - cps.final) / slots < 10, (peak - cps.final) / slots
+
+
+@pytest.mark.parametrize("periods", [
+    range(1, 33), range(1, 40), range(0, 5), range(-3, 9), range(3, 40, 7), range(40, 3, -7),
+    range(26, -3, -7), range(5, -1, -1), range(32, 0, -1), range(33, 0, -1), range(2, 100, 3),
+    range(80, 90),
+])
+def test_period_range_checked_from_its_ends_as_its_walk(periods):
+    # a range is refused for its first period outside [1, 32] without a walk; the
+    # same periods as a list are walked, and both end alike
+    def outcome(periods):
+        try:
+            return _fit_moduli(seq_two_three(), periods, Checkpoints.geometric(8, 32))
+        except ValueError as e:
+            return str(e)
+
+    assert outcome(periods) == outcome(list(periods))
 
 
 @pytest.mark.parametrize("periods, cps", [

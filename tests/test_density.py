@@ -372,6 +372,18 @@ def test_union_budget_refused_before_the_power():
     assert peak < 1 << 20
 
 
+def test_union_counts_its_bitset_in_place():
+    # the popcount overwrites the bitset it counts: no second bitset-sized array
+    tracemalloc.start()
+    try:
+        res = union_density_experiment(4, 1, 1, 4, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.covered == union_by_marking_sets(4, 1, 1, 4, 11)
+    assert peak < 1.5 * (4**11 // 8), peak
+
+
 def _benchmark_oracles():
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "oracles.py"
     spec = importlib.util.spec_from_file_location("asymauto_bench_oracles", path)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from bisect import bisect_right
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from asymauto import (
     shift,
 )
 from asymauto import seqlib
-from asymauto.seqlib import _fill_runs, _isqrt_u64, _leading_ones_u64, _max_run_u64
+from asymauto.seqlib import _fill_runs, _leading_ones_u64, _max_run_u64
 
 from helpers import (
     labels_by_splitlines,
@@ -144,23 +145,6 @@ def test_sqrt_parity_sequence():
     assert f(0) == 0
     assert f(3) == 1
     assert f(4) == 0
-
-
-def test_isqrt_batch_exact():
-    ns = np.arange(1 << 17, dtype=np.uint64)
-    got = _isqrt_u64(ns)
-    for i in (0, 1, 2, 3, 4, 99, 100, 101, (1 << 17) - 1):
-        assert int(got[i]) == math.isqrt(i)
-    assert np.array_equal(got * got <= ns, np.ones(len(ns), dtype=bool))
-    rng = np.random.default_rng(11)
-    big = rng.integers(0, (1 << 63) - 1, size=4096, dtype=np.int64).astype(np.uint64)
-    for n, s in zip(big.tolist(), _isqrt_u64(big).tolist()):
-        assert s == math.isqrt(n)
-    roots = (1, 2, 3, 1 << 16, (1 << 31) - 1, 1 << 31, 3037000499)
-    edges = [r * r + e for r in roots for e in (-1, 0, 1) if r * r + e < INT_LIMIT]
-    edges.append(INT_LIMIT - 1)
-    got = _isqrt_u64(np.array(edges, dtype=np.uint64))
-    assert got.tolist() == [math.isqrt(e) for e in edges]
 
 
 def test_two_three_values_and_coverage():
@@ -286,27 +270,58 @@ def test_fill_runs_against_bisect(points, prog):
     assert got.dtype == np.uint8 and got.tolist() == want
 
 
+def count_isqrt(m: pytest.MonkeyPatch) -> list:
+    """The terms seqlib takes `math.isqrt` of from now on, one entry per call."""
+    calls = []
+
+    def isqrt(n):
+        calls.append(n)
+        return math.isqrt(n)
+
+    m.setattr(seqlib, "math", SimpleNamespace(isqrt=isqrt))
+    return calls
+
+
+def test_sqrt_parity_fallback_exact():
+    # each term is read with a partner 2**62 away, so its block crosses more
+    # squares than terms and takes the root of each term: 2 + 2 calls
+    far = 1 << 62
+    roots = (*range(1, 1 << 10), 1 << 16, (1 << 31) - 1, 1 << 31, 3037000499)
+    edges = [r * r + e for r in roots for e in (-1, 0, 1) if r * r + e < INT_LIMIT]
+    f = seq_sqrt_parity()
+    with pytest.MonkeyPatch.context() as m:
+        calls = count_isqrt(m)
+        for n in [*edges, INT_LIMIT - 1]:
+            first = n if n < far else n - far
+            calls.clear()
+            got = block_at(f, first, far, 2)
+            assert got == [math.isqrt(first) & 1, math.isqrt(first + far) & 1], n
+            assert len(calls) == 4, n
+        # random 63-bit terms, 1,000 to a block
+        rng = np.random.default_rng(11)
+        for first, step in rng.integers(0, 1 << 52, size=(16, 2)).tolist():
+            step += 1 << 52
+            calls.clear()
+            got = block_at(f, first, step, 1000)
+            assert got == [math.isqrt(first + i * step) & 1 for i in range(1000)]
+            assert len(calls) == 1002
+
+
 @given(st.integers(2, 200), st.integers(0, 1 << 31), st.integers(0, 1))
 def test_sqrt_parity_fallback_boundary(count, root, extra):
-    # a block crossing count squares fills by runs; one more square and it
-    # takes the per-term Newton root instead
+    # a block crossing count squares fills by runs from its 2 end roots; one more
+    # square and it takes the root of each of its terms as well
     root = max(root, count)
     span = count + extra
     first, target = root * root, (root + span) ** 2
     step = -(-(target - first) // (count - 1))
     top = first + step * (count - 1)
     assert math.isqrt(top) - root == span
-    calls = []
-
-    def spy(x):
-        calls.append(len(x))
-        return _isqrt_u64(x)
-
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(seqlib, "_isqrt_u64", spy)
+        calls = count_isqrt(m)
         got = block_at(seq_sqrt_parity(), first, step, count)
     assert got == [math.isqrt(first + i * step) & 1 for i in range(count)]
-    assert calls == ([count] if extra else [])
+    assert len(calls) == (count + 2 if extra else 2)
 
 
 @pytest.mark.parametrize("make, scale, naive", [
@@ -318,10 +333,13 @@ def test_run_fill_needs_no_per_term_statistics(monkeypatch, make, scale, naive):
     def refuse(x):
         raise AssertionError("per-term statistic on a run-length leaf")
 
-    monkeypatch.setattr(seqlib, "_isqrt_u64", refuse)
+    calls = count_isqrt(monkeypatch)
     monkeypatch.setattr(seqlib, "_leading_ones_u64", refuse)
     n = 1 << 18
-    assert make().values(0, n).tolist() == [naive(scale * i) for i in range(n)]
+    got = make().values(0, n).tolist()
+    # the sqrt-parity leaf takes only the roots of its block's two ends
+    assert len(calls) == (2 if naive is sqrt_parity_naive else 0)
+    assert got == [naive(scale * i) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
