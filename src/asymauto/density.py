@@ -207,14 +207,17 @@ def check_verdict_schedule(cps: Checkpoints) -> None:
 def verdict(profile: DiscrepancyProfile, policy: VerdictPolicy = VerdictPolicy()) -> Verdict:
     """Equal when the tail is small and shrinking, Distinct when it is flat-high.
 
-    Needs `VERDICT_CHECKPOINTS` checkpoints.  The package never claims a limit;
-    this is a finite-scale reading under the declared policy.
+    Needs `VERDICT_CHECKPOINTS` checkpoints.  The fractions, and tau and rho as
+    the decimals they print as, are compared exactly.  The package never claims
+    a limit; this is a finite-scale reading under the declared policy.
     """
     check_verdict_schedule(profile.checkpoints)
-    f3, f2, f1 = profile.fractions[-3:]
-    if f1 <= policy.tau and f3 >= policy.rho * f2 and f2 >= policy.rho * f1:
+    tail = zip(profile.counts[-3:], profile.checkpoints.values[-3:])
+    f3, f2, f1 = (Fraction(c, n) for c, n in tail)
+    tau, rho = Fraction(str(policy.tau)), Fraction(str(policy.rho))
+    if f1 <= tau and f3 >= rho * f2 and f2 >= rho * f1:
         return Verdict.EQUAL
-    if min(f3, f2, f1) >= 10 * policy.tau:
+    if min(f3, f2, f1) >= 10 * tau:
         return Verdict.DISTINCT
     return Verdict.INCONCLUSIVE
 

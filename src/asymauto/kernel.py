@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -169,10 +170,15 @@ def _check_tau(tau: float) -> None:
 
 
 def cluster_words(kw: KernelWords, tau: float) -> KernelQuotient:
-    """Greedy first-fit clustering of the elements of kw at threshold tau * N_final."""
+    """Greedy first-fit clustering of the elements of kw at threshold tau * N_final.
+
+    tau is read as the decimal it prints as, so a count merges exactly when it
+    is at most tau * N_final in exact arithmetic.
+    """
     _check_tau(tau)
     order, cps, matrix = kw.order, kw.checkpoints, kw.matrices[-1]
-    threshold = tau * cps.final
+    exact = Fraction(str(tau))
+    threshold = exact.numerator * cps.final // exact.denominator
     reps: list = []  # indices into `order`
     assignment: list = []
     for i in range(len(order)):

@@ -116,24 +116,19 @@ def max_run_recursive(n: int) -> int:
 def max_run_recursive_table(limit: int) -> np.ndarray:
     """The same recursion evaluated bottom-up for every n < limit.
 
-    Level by level each parent n fills its children 2n and 2n+1, so the
-    returned uint8 table is the recursion itself in batch form.
+    Each level [2**j, 2**(j+1)) below limit is filled from its parents n >> 1,
+    so the returned uint8 table is the recursion itself in batch form.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     out = np.zeros(limit, dtype=np.uint8)
-    if limit > 1:
-        out[1] = 1
     level = 1
-    while 2 * level < limit:
-        parents = np.arange(level, min(2 * level, limit), dtype=np.uint64)
-        parents = parents[(parents << _U1) < limit]
-        k = out[parents].astype(np.uint64)
-        out[parents << _U1] = out[parents]
-        odd = (parents << _U1) + _U1
-        keep = odd < limit
-        solid = (parents & ((_U1 << k) - _U1)) == (_U1 << k) - _U1
-        out[odd[keep]] = (k + solid)[keep].astype(np.uint8)
+    while level < limit:
+        ns = np.arange(level, min(2 * level, limit), dtype=np.uint64)
+        half = ns >> _U1
+        k = out[half].astype(np.uint64)
+        ones = (_U1 << k) - _U1  # the low k bits
+        out[level : 2 * level] = k + ((ns & _U1) & ((half & ones) == ones))
         level *= 2
     return out
 
@@ -144,20 +139,12 @@ def duplicate(n: int) -> int:
     if n == 0:
         return 1
     bits = format(n, "b")
-    best = max_run(n)
-    pos = 0
-    while True:
-        run = 0
-        start = pos
-        while pos < len(bits) and bits[pos] == "1":
-            run += 1
-            pos += 1
-        if run == best:
-            out = int(bits[:start] + "1" * (best + 1) + bits[pos:], 2)
-            if out >= INT_LIMIT:
-                raise RangeError(f"duplicate({n}) exceeds the 2**63 range")
-            return out
-        pos += 1
+    # no block is longer than max_run(n), so the first block of that many 1s is a longest one
+    at = bits.index("1" * max_run(n))
+    out = int(bits[:at] + "1" + bits[at:], 2)
+    if out >= INT_LIMIT:
+        raise RangeError(f"duplicate({n}) exceeds the 2**63 range")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +416,10 @@ def sequence_from_file(path) -> Sequence:
 # ---------------------------------------------------------------------------
 
 
-def _is_prime_small(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
-
-
 # leading_ones(n) <= 63 for indices below 2**63
-_PRIME_FLAGS = np.array([_is_prime_small(i) for i in range(64)], dtype=np.uint8)
+_PRIME_FLAGS = np.array(
+    [m > 1 and all(m % d for d in range(2, m)) for m in range(64)], dtype=np.uint8
+)
 
 # leading_ones is a - b from 2**a - 2**b up to the next of these 2,016 numbers
 # (0 <= b < a <= 63), and 0 below the first one, 1.  Listed by bit length a,

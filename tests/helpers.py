@@ -22,6 +22,24 @@ def max_run_by_string(n: int) -> int:
     return max((len(run) for run in bits.split("0")), default=0)
 
 
+def duplicate_by_runs(n: int) -> int:
+    """One more 1 in the earliest longest 1-block of n (1 for n = 0), found by a run scan."""
+    if n == 0:
+        return 1
+    bits = format(n, "b")
+    best = max_run_by_string(n)
+    pos = 0
+    while True:
+        run = 0
+        start = pos
+        while pos < len(bits) and bits[pos] == "1":
+            run += 1
+            pos += 1
+        if run == best:
+            return int(bits[:start] + "1" * (best + 1) + bits[pos:], 2)
+        pos += 1
+
+
 def smooth_by_double_loop(limit: int) -> list:
     """All (value, alpha, beta) with 2**a 3**b <= limit, sorted by value."""
     out = []

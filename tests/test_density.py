@@ -200,6 +200,9 @@ def test_verdict_policy_table():
     assert verdict(profile((40, 80, 160)), VerdictPolicy(tau=0.01)) is Verdict.DISTINCT
     wobble = profile((0, 2, 0))  # fraction rises then falls around tau
     assert verdict(wobble, VerdictPolicy(tau=1e-3)) is Verdict.INCONCLUSIVE
+    # exact rho ties: 1.5 * 0.05 is 0.07500000000000001 in floats
+    tie = DiscrepancyProfile("f", "g", Checkpoints((400, 800, 1600)), (45, 60, 80))
+    assert verdict(tie, VerdictPolicy(tau=0.05, rho=1.5)) is Verdict.EQUAL
     with pytest.raises(ValueError):
         verdict(DiscrepancyProfile("f", "g", Checkpoints((10, 20)), (0, 0)))
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import subprocess
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,12 @@ import asymauto.density as density_mod
 import asymauto.kernel as kernel_mod
 from asymauto import (
     Checkpoints,
+    KernelWords,
     RangeError,
     Word,
     check_labeling_consistency,
     cluster_kernel,
+    cluster_words,
     enumerate_kernel,
     kernel_words,
     label_word,
@@ -68,6 +71,28 @@ def test_tau_monotonicity():
             for tau in (1e-3, 1e-2, 1e-1, 0.25)
         ]
         assert counts == sorted(counts, reverse=True)
+
+
+def two_elements(count: int, n: int) -> KernelWords:
+    """Kernel words of two elements that differ in `count` of n positions."""
+    matrix = np.array([[0, count], [count, 0]], dtype=np.int64)
+    return KernelWords("f", 2, 1, Checkpoints((n,)), [(0, 0), (1, 0)], (matrix,))
+
+
+@pytest.mark.parametrize("tau, n, count", [(0.29, 100, 29), (0.043, 10**4, 430)])
+def test_cluster_merges_a_count_of_exactly_tau_n(tau, n, count):
+    # 0.29 * 100 is 28.999999999999996 in floats
+    assert cluster_words(two_elements(count, n), tau).class_count == 1
+    assert cluster_words(two_elements(count + 1, n), tau).class_count == 2
+
+
+def test_cluster_threshold_is_the_exact_floor_of_tau_n():
+    for n in (100, 1000, 3 * 2**10, 10**4, 2**20 + 1, 3 * 2**22):
+        for i in range(1, 500):
+            tau = i / 1000
+            floor = Fraction(repr(tau)) * n // 1
+            assert cluster_words(two_elements(floor, n), tau).class_count == 1, (tau, n)
+            assert cluster_words(two_elements(floor + 1, n), tau).class_count == 2, (tau, n)
 
 
 def test_two_three_labels_at_derived_tau():

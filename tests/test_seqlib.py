@@ -33,6 +33,8 @@ from asymauto import seqlib
 from asymauto.seqlib import _fill_runs, _leading_ones_u64, _max_run_u64
 
 from helpers import (
+    duplicate_by_runs,
+    is_prime_by_trial,
     labels_by_splitlines,
     leading_ones_by_string,
     leading_prime_naive,
@@ -79,9 +81,11 @@ def test_string_scan_oracles():
 
 def test_max_run_recursive():
     assert max_run_recursive(1234) == 2
-    table = max_run_recursive_table(1 << 16)
-    kap = _max_run_u64(np.arange(1 << 16, dtype=np.uint64)).astype(np.uint8)
-    assert np.array_equal(table, kap)
+    # limits inside, at and past each level's end clip the last level every way
+    for limit in [*range(1, 301), 1 << 16, (1 << 16) + 5]:
+        table = max_run_recursive_table(limit)
+        kap = _max_run_u64(np.arange(limit, dtype=np.uint64)).astype(np.uint8)
+        assert np.array_equal(table, kap), limit
     for i in range(1 << 12):
         assert max_run_recursive(i) == max_run(i)
 
@@ -96,6 +100,20 @@ def test_duplicate_examples():
     assert duplicate(0) == 1
     assert duplicate(5) == 13
     assert duplicate(6) == 14
+
+
+def test_duplicate_matches_the_run_scan():
+    for n in range(1 << 16):
+        assert duplicate(n) == duplicate_by_runs(n), n
+    rng = np.random.default_rng(26)
+    for n in rng.integers(0, 1 << 62, 20_000, dtype=np.int64).tolist():
+        assert duplicate(n) == duplicate_by_runs(n), n
+    with pytest.raises(RangeError):
+        duplicate(INT_LIMIT - 1)
+
+
+def test_prime_flags_match_trial_division():
+    assert seqlib._PRIME_FLAGS.tolist() == [is_prime_by_trial(i) for i in range(64)]
 
 
 def test_duplicate_properties():
