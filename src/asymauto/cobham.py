@@ -93,23 +93,25 @@ _FIT_RESIDUE_BYTES = 48
 _COUNT_BYTES = 16
 
 
-def _moduli(periods, n_sym: int) -> list:
-    """Moduli covering every period: each joins a modulus it divides, or merges into one.
+def _moduli(periods, n_sym: int) -> dict:
+    """The moduli in the order they are made, each with the periods it serves.
 
-    Periods go from largest to smallest; a period merges into the first modulus
-    M with lcm(M, q) * n_sym <= _FIT_KEYS, else it starts a modulus of its own.
+    From the largest period down, a period joins the first modulus it divides,
+    else merges into the first modulus M with lcm(M, q) * n_sym <= _FIT_KEYS,
+    else starts a modulus of its own.
     """
-    moduli: list = []
+    plan: list = []  # [modulus, the periods it serves]
     for q in sorted(set(periods), reverse=True):
-        if any(m % q == 0 for m in moduli):
-            continue
-        for i, m in enumerate(moduli):
-            if math.lcm(m, q) * n_sym <= _FIT_KEYS:
-                moduli[i] = math.lcm(m, q)
-                break
-        else:
-            moduli.append(q)
-    return moduli
+        home = next((p for p in plan if p[0] % q == 0), None)
+        # a modulus q does not divide exceeds q, so their lcm exceeds 2 * q
+        if home is None and 2 * q * n_sym < _FIT_KEYS:
+            home = next((p for p in plan if (lcm := math.lcm(p[0], q)) * n_sym <= _FIT_KEYS), None)
+            if home is not None:
+                home[0] = lcm
+        if home is None:
+            plan.append(home := [q, []])
+        home[1].append(q)
+    return dict(plan)
 
 
 def _residue_counts(table: np.ndarray, m: int, n_sym: int, cps: Checkpoints) -> tuple:
@@ -138,22 +140,22 @@ def _fit(f: Sequence, counts: tuple, q: int, cps: Checkpoints, policy) -> Period
     agree = np.arange(q) * n_sym + symbols
     profile = DiscrepancyProfile(
         f.name,
-        "periodic:" + ",".join(str(s) for s in symbols),
+        "periodic:" + ",".join(map(str, symbols.tolist())),
         cps,
         tuple(n - int(c[agree].sum()) for n, c in zip(cps, counts)),
     )
     v = verdict(profile, policy) if len(cps) >= VERDICT_CHECKPOINTS else Verdict.INCONCLUSIVE
     return PeriodicFit(
         period=q,
-        symbols=tuple(int(s) for s in symbols),
-        margins=tuple(float(m) for m in margins),
+        symbols=tuple(symbols.tolist()),
+        margins=tuple(margins.tolist()),
         profile=profile,
         verdict=v,
     )
 
 
-def _fit_moduli(f: Sequence, periods, cps: Checkpoints) -> list:
-    """The `_moduli` of the fits of `periods` at cps, checked before any evaluation.
+def _fit_moduli(f: Sequence, periods, cps: Checkpoints) -> dict:
+    """The `_moduli` plan of the fits of `periods` at cps, checked before any evaluation.
 
     Refuses an empty sweep, the first period outside [1, cps.final], and fits
     or residue counts over the budget; the counts of the largest modulus M take
@@ -181,11 +183,11 @@ def _fit_moduli(f: Sequence, periods, cps: Checkpoints) -> list:
     check_budget(_FIT_RESIDUE_BYTES * total, "bytes",
                  f"periodic fits of {count} periods up to {largest}")
     n_sym = len(f.alphabet)
-    moduli = _moduli(periods, n_sym)
-    top = max(moduli)
+    plan = _moduli(periods, n_sym)
+    top = max(plan)
     check_budget(_COUNT_BYTES * n_sym * (len(cps) + 1) * top, "bytes",
                  f"residue counts of {n_sym} symbols mod {top} at {len(cps)} checkpoints")
-    return moduli
+    return plan
 
 
 def periodic_fit_sweep(
@@ -198,24 +200,22 @@ def periodic_fit_sweep(
 
     periods is a list or range; the result follows its order.  f is evaluated
     once, and the periods share the counts of a few moduli: one (residue mod
-    M, symbol) count per modulus M, folded into each period that divides M.
+    M, symbol) count per modulus M, folded into each period `_moduli` has it serve.
     The fits and their counts are refused over the budget before f is evaluated.
     """
-    moduli = _fit_moduli(f, periods, cps)
+    plan = _fit_moduli(f, periods, cps)
     table = sequence_values(f, cps.final)
     n_sym = len(f.alphabet)
-    distinct = set(periods)
     fits = {}
-    for m in moduli:
+    for m, served in plan.items():
         counts = _residue_counts(table, m, n_sym, cps)
-        for q in distinct - fits.keys():
-            if m % q == 0:
-                # q = m reads the counts in place: its fold would copy every checkpoint's
-                folded = counts if m == q else tuple(
-                    c.reshape(m // q, q * n_sym).sum(axis=0) for c in counts
-                )
-                fits[q] = _fit(f, folded, q, cps, policy)
-        del counts
+        for q in served:
+            # q = m reads the counts in place: its fold would copy every checkpoint's
+            folded = counts if m == q else tuple(
+                c.reshape(m // q, q * n_sym).sum(axis=0) for c in counts
+            )
+            fits[q] = _fit(f, folded, q, cps, policy)
+        del counts, folded  # folded may be counts itself
     return [fits[q] for q in periods]
 
 

@@ -158,9 +158,12 @@ def discrepancy_profile(f: Sequence, g: Sequence, cps: Checkpoints) -> Discrepan
     """Exact |{n < N_j : f(n) != g(n)}| for each checkpoint, by full scan.
 
     Symbols are compared by label: alphabets holding the same labels in a
-    different order are remapped, any other pair is rejected.
+    different order are remapped, any other pair is rejected.  A side that
+    cannot reach N_final - 1 fails before the scan.
     """
     remap = _label_map(f, g)
+    for side in (f, g):
+        side.values(cps.final - 1, 1)  # past coverage or 2**63: fail at once, naming N - 1
 
     def count(lo, hi):
         fv = f.values(lo, hi - lo)
@@ -234,6 +237,7 @@ def density_estimate(indicator: Sequence, cps: Checkpoints) -> DiscrepancyProfil
             f"density_estimate needs a binary alphabet with a label \"1\", got {indicator.alphabet}"
         )
     one = indicator.alphabet.index("1")
+    indicator.values(cps.final - 1, 1)  # past coverage or 2**63: fail at once, naming N - 1
 
     def count(lo, hi):
         return int(np.count_nonzero(indicator.values(lo, hi - lo) == one))

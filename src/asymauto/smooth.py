@@ -121,12 +121,9 @@ def ratio_profile(table: tuple, i_min: int, i_max: int) -> RatioProfile:
         raise ValueError(
             f"window end {i_max} needs {i_max + 1} entries, table has {len(table)}"
         )
-    best = Fraction(0)
-    arg = i_min
-    for i in range(i_min, i_max):
-        r = Fraction(table[i + 1].value, table[i].value)
-        if r > best:
-            best, arg = r, i
+    # max keeps the first of equal ratios
+    arg = max(range(i_min, i_max), key=lambda i: Fraction(table[i + 1].value, table[i].value))
+    best = Fraction(table[arg + 1].value, table[arg].value)
     return RatioProfile(i_min, i_max, arg, best.numerator, best.denominator)
 
 
@@ -176,22 +173,15 @@ def kronecker_gap(t, cap: int = 64) -> KroneckerGaps:
         raise ValueError(f"tolerance must be positive, got {t}")
     bound = 1 + t
     num, den = bound.numerator, bound.denominator
-    two_side = []
-    three_side = []
     pow2 = [1 << g for g in range(cap + 1)]
     pow3 = [3**d for d in range(cap + 1)]
-    for g in range(cap + 1):
-        p2 = pow2[g]
-        for d in range(cap + 1):
-            p3 = pow3[d]
-            if p3 < p2 and p2 * den < p3 * num:
-                two_side.append(GapPair(g, d, p2, p3))
-            elif p2 < p3 and p3 * den < p2 * num:
-                three_side.append(GapPair(g, d, p3, p2))
+    # each side is built in the order it is reported: by gamma, and by delta
+    two_side = [GapPair(g, d, p2, p3) for g, p2 in enumerate(pow2) for d, p3 in enumerate(pow3)
+                if p3 < p2 and p2 * den < p3 * num]
+    three_side = [GapPair(g, d, p3, p2) for d, p3 in enumerate(pow3) for g, p2 in enumerate(pow2)
+                  if p2 < p3 and p3 * den < p2 * num]
     if not two_side or not three_side:
         raise RangeError(f"no exponent pair within cap {cap} for tolerance {t}")
-    two_side.sort(key=lambda p: (p.gamma, p.delta))
-    three_side.sort(key=lambda p: (p.delta, p.gamma))
     return KroneckerGaps(t, cap, tuple(two_side), tuple(three_side))
 
 

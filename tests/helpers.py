@@ -185,6 +185,25 @@ def majority_by_residue_loop(values: list, q: int):
     return symbols, margins
 
 
+def moduli_by_lcm_search(periods, n_sym: int, keys: int) -> list:
+    """The moduli of a fit plan, from the largest period down, each period tried against all.
+
+    A period that divides a modulus is skipped; else it merges into the first
+    modulus M with lcm(M, q) * n_sym <= keys, else it starts a modulus of its own.
+    """
+    moduli = []
+    for q in sorted(set(periods), reverse=True):
+        if any(m % q == 0 for m in moduli):
+            continue
+        for i, m in enumerate(moduli):
+            if math.lcm(m, q) * n_sym <= keys:
+                moduli[i] = math.lcm(m, q)
+                break
+        else:
+            moduli.append(q)
+    return moduli
+
+
 def labels_by_splitlines(path) -> tuple:
     """(alphabet, symbol index per line) of a label file, read whole and split by str.splitlines.
 

@@ -237,6 +237,36 @@ def test_eval_past_coverage_fails_before_filling(capsys, monkeypatch, tmp_path):
     assert "index 5999 reaches leaf index 5999, beyond coverage [0, 5000]" in err
 
 
+def test_discrepancy_past_coverage_fails_before_scanning(capsys, monkeypatch, tmp_path):
+    # each side's last term is read once before the scan: the file, as g, fails on
+    # the second read, naming N - 1
+    path = tmp_path / "labels.txt"
+    path.write_text("0\n1\n" * 2500 + "0\n", encoding="utf-8")  # indices 0..5000
+    monkeypatch.setattr(density, "_SCAN_CHUNK", 997)
+    counts = spy_on_values(monkeypatch)
+    argv = ["discrepancy", "--f", "sqrt-parity", "--g", f"file:{path}", "--nmax", "6000"]
+    assert main(argv) == 3
+    assert counts == [1, 1]
+    err = capsys.readouterr().err
+    assert "index 5999 reaches leaf index 5999, beyond coverage [0, 5000]" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("f, g, nmax, index", [
+    ("two-three", "shift:1:two-three", 1 << 63, (1 << 63) - 1),
+    ("sqrt-parity", "sqrt-parity", 1 << 64, (1 << 64) - 1),
+])
+def test_discrepancy_past_the_range_fails_at_once(capsys, f, g, nmax, index):
+    # the scan used to run from 0 until a chunk reached 2**63
+    start = time.perf_counter()
+    assert main(["discrepancy", "--f", f, "--g", g, "--nmax", str(nmax)]) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("range error: ") and captured.err.count("\n") == 1
+    assert f"index {index} reaches leaf index" in captured.err and "2**63" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv, err", [
     (["smooth", "--first", "10000000"],
      "range error: 3-smooth table of the first 10000000 entries: 7910000000 bytes exceed"),

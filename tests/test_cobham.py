@@ -22,9 +22,9 @@ from asymauto import (
     sequence_values,
     shift_invariance,
 )
-from asymauto.cobham import _COUNT_BYTES, _fit_moduli, fits_to_csv
+from asymauto.cobham import _COUNT_BYTES, _FIT_KEYS, _fit_moduli, _moduli, fits_to_csv
 
-from helpers import majority_by_residue_loop
+from helpers import majority_by_residue_loop, moduli_by_lcm_search
 
 CPS16 = Checkpoints.geometric(1 << 8, 1 << 16)
 
@@ -111,6 +111,26 @@ def test_fit_sweep_matches_residue_loop(n_sym):
             assert fit.symbols == tuple(symbols) and fit.margins == tuple(margins), q
             want = tuple(sum(1 for i in range(m) if values[i] != symbols[i % q]) for m in cps)
             assert fit.profile.counts == want, q
+
+
+# ranges from 1, two stepped ranges and 20 random lists of 200 periods
+_PLANNED = [
+    *(range(1, top + 1) for top in (1, 2, 3, 16, 64, 100, 1000, 3000)),
+    range(3, 2000, 7), range(4000, 10, -13),
+    *np.random.default_rng(28).integers(1, 5000, (20, 200)).tolist(),
+]
+
+
+@pytest.mark.parametrize("n_sym", [1, 2, 3, 5, 16, 256])
+def test_fit_plan_matches_the_lcm_search(n_sym):
+    # the plan keeps the search's moduli in its order, and serves each period once,
+    # from a modulus it divides
+    for periods in _PLANNED:
+        plan = _moduli(periods, n_sym)
+        assert list(plan) == moduli_by_lcm_search(periods, n_sym, _FIT_KEYS), periods
+        served = [q for qs in plan.values() for q in qs]
+        assert sorted(served) == sorted(set(periods))
+        assert all(m % q == 0 for m, qs in plan.items() for q in qs)
 
 
 def test_fit_working_memory():
@@ -313,11 +333,14 @@ def _sweep_peak(f, periods, cps) -> int:
 
 def test_residue_count_check_covers_the_sweep_peak():
     # 256 symbols at 6 checkpoints, on one modulus of 250 residues read in place,
-    # and on the modulus 16 folded into the periods 8, 4, 2, 1 that merge into
-    # it: the checked bytes bound what tracemalloc sees, and the value table beside them
+    # on the modulus 16 folded into the periods 8, 4, 2, 1 that merge into it, and
+    # on the periods 64 down to 1, where 64 down to 33 are moduli read in place and
+    # freed one at a time, and each smaller period folds from one it divides: the checked
+    # bytes bound what tracemalloc sees, and the value table beside them
     f = periodic(range(256))
     for periods, cps in (([250], Checkpoints.geometric(1 << 10, 1 << 15)),
-                         ([16, 8, 4, 2, 1], Checkpoints.geometric(1 << 7, 1 << 12))):
+                         ([16, 8, 4, 2, 1], Checkpoints.geometric(1 << 7, 1 << 12)),
+                         (range(64, 0, -1), Checkpoints.geometric(1 << 9, 1 << 14))):
         checked = _COUNT_BYTES * 256 * (len(cps) + 1) * periods[0]
         peak = _sweep_peak(f, periods, cps)
         assert checked / 2 < peak - cps.final < checked, (periods, peak, checked)

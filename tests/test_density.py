@@ -292,6 +292,19 @@ def test_prefix_counts_one_pass():
     assert [c.tolist() for c in accumulating_in_place(count_symbols, cps)] != want
 
 
+def test_scans_past_the_range_fail_before_the_first_chunk(monkeypatch):
+    # the last term of each side is read once, before prefix_counts starts
+    def refuse(count, cps):
+        raise AssertionError("scanned before the last term was read")
+
+    monkeypatch.setattr(density_mod, "prefix_counts", refuse)
+    past = Checkpoints((1 << 10, INT_LIMIT + 1))
+    with pytest.raises(RangeError, match=f"index {INT_LIMIT} reaches leaf index {INT_LIMIT}, "):
+        density_estimate(seq_sqrt_parity(), past)
+    with pytest.raises(RangeError, match=f"shift:1:two-three: index {INT_LIMIT - 1} "):
+        discrepancy_profile(seq_two_three(), shift(seq_two_three(), 1), Checkpoints((INT_LIMIT,)))
+
+
 def test_density_along_subsequence_even():
     evens = binary_sequence("evens", lambda n: 1 - (n & 1))
     cps = Checkpoints(tuple(2**i for i in range(4, 15)))

@@ -80,6 +80,9 @@ def test_ratio_profile_windows():
     assert mid.ratio == max(
         Fraction(table[i + 1].value, table[i].value) for i in range(100, 1000)
     )
+    # 2, 3, 4, 6: the ratios at 1, 2, 3 are 3/2, 4/3, 3/2, and the first maximum is kept
+    tie = ratio_profile(table, 1, 4)
+    assert (tie.argmax, tie.numerator, tie.denominator) == (1, 3, 2)
     with pytest.raises(ValueError):
         ratio_profile(table, 10, 10)
     with pytest.raises(ValueError):
@@ -122,14 +125,23 @@ def test_kronecker_examples():
 
 
 def test_kronecker_matches_fraction_oracle():
-    t = Fraction(1, 10)
-    gaps = kronecker_gap(t, cap=32)
-    two, three = kronecker_pairs_by_fractions(t, 32)
-    assert [(p.gamma, p.delta) for p in sorted(gaps.two_side, key=lambda p: (p.gamma, p.delta))] == sorted(two)
-    assert sorted((p.gamma, p.delta) for p in gaps.three_side) == sorted(three)
-    for p in gaps.two_side:
-        assert 3**p.delta < 2**p.gamma
-        assert 2**p.gamma * t.denominator < 3**p.delta * (t.numerator + t.denominator)
+    # two_side in (gamma, delta) order and three_side in (delta, gamma) order, as reported;
+    # the two orders differ only past 1 + t = 6, where some pairs (g, d), (g', d') have
+    # g < g' and d > d'
+    for t in map(Fraction, ("1/20", "1/10", "1/2", "1", "3", "7")):
+        for cap in (8, 32, 64):
+            two, three = kronecker_pairs_by_fractions(t, cap)
+            if not two or not three:
+                with pytest.raises(RangeError):
+                    kronecker_gap(t, cap)
+                continue
+            gaps = kronecker_gap(t, cap)
+            assert [(p.gamma, p.delta) for p in gaps.two_side] == sorted(two)
+            three.sort(key=lambda p: p[::-1])
+            assert [(p.gamma, p.delta) for p in gaps.three_side] == three
+            for p in gaps.two_side:
+                assert 3**p.delta < 2**p.gamma
+                assert 2**p.gamma * t.denominator < 3**p.delta * (t.numerator + t.denominator)
 
 
 def test_kronecker_failure_is_loud():
