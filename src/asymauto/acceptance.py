@@ -492,8 +492,6 @@ def run_verify(outdir: Path, ids=None, echo=print) -> int:
 
     if ids is None or "13" in ids:
         write_verify_outputs(outdir)
-        Path(outdir, "results.txt").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8", newline="\n"
-        )
+        cli.write_output(Path(outdir, "results.txt"), (line + "\n" for line in lines))
         echo(f"data outputs written to {outdir}")
     return 0 if all_ok else 1

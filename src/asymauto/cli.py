@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import shlex
+import stat
 import sys
-from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -168,15 +169,32 @@ def build_sequence(text: str) -> Sequence:
 # ---------------------------------------------------------------------------
 
 
+def write_output(path, pieces) -> None:
+    """Write the text pieces over path's old bytes, then cut the file where they end.
+
+    Opening with O_TRUNC waits, on ext4 with delayed allocation, for the
+    write-back of the old contents; writing in place does not.  The cut runs
+    even when a piece raises, so the file ends where writing stopped.  A
+    destination that is not a regular file (/dev/null, a FIFO) is only written.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+              encoding="utf-8", newline="\n") as out:
+        try:
+            out.writelines(pieces)
+        finally:
+            out.flush()
+            fd = out.fileno()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def _emit(pieces, dest: str | None, meta: str) -> None:
     """Write the '#' metadata line, then each text piece, to stdout for '-', else to dest."""
+    lines = itertools.chain([f"# {meta}\n"], pieces)
     if dest is None or dest == "-":
-        target = nullcontext(sys.stdout)
+        sys.stdout.writelines(lines)
     else:
-        target = open(dest, "w", encoding="utf-8", newline="\n")
-    with target as out:
-        out.write(f"# {meta}\n")
-        out.writelines(pieces)
+        write_output(dest, lines)
 
 
 def _meta(args) -> str:

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import asymauto
-from asymauto import acceptance, cobham, density, errors, seqlib, smooth
+from asymauto import acceptance, cli, cobham, density, errors, seqlib, smooth
 from asymauto.acceptance import VERIFY_COMMANDS, write_verify_outputs
 from asymauto.cli import build_sequence, main, parse_expr
-from asymauto.errors import ExprError
+from asymauto.errors import ExprError, RangeError
 from asymauto.seqlib import Sequence
 from helpers import peak_rss_bytes, python_with_peak_rss
 
@@ -73,12 +73,17 @@ _LEAVES = st.one_of(
 )
 
 
+@pytest.fixture(scope="module")
+def chain_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("chain") / "chain.txt"
+    path.write_text("a\nb\n", encoding="utf-8")
+    return path
+
+
 @given(st.lists(_STEPS, max_size=6), _LEAVES)
-def test_canonical_expression_is_its_name(tmp_path_factory, steps, leaf):
+def test_canonical_expression_is_its_name(chain_file, steps, leaf):
     if leaf == "file:":
-        path = tmp_path_factory.getbasetemp() / "hypothesis-chain.txt"
-        path.write_text("a\nb\n", encoding="utf-8")
-        leaf += str(path)
+        leaf += str(chain_file)
     text = "".join(steps) + leaf
     assert build_sequence(text).name == text
 
@@ -730,6 +735,80 @@ def test_verify_raises_when_a_command_fails(tmp_path, monkeypatch):
     monkeypatch.setattr(acceptance, "VERIFY_COMMANDS", bad)
     with pytest.raises(RuntimeError, match="exited 2: error: unknown constructor"):
         write_verify_outputs(tmp_path)
+
+
+def _eval_csv(dest, hi: int) -> bytes:
+    assert main(["eval", "--seq", "two-three", "--range", f"0:{hi}", "--csv", str(dest)]) == 0
+    return Path(dest).read_bytes()
+
+
+@pytest.mark.parametrize("first, then", [(2000, 5), (5, 2000)])
+def test_rewritten_file_holds_exactly_the_new_bytes(tmp_path, capsys, first, then):
+    out = tmp_path / "o.csv"
+    _eval_csv(out, first)
+    out.chmod(0o640)
+    inode = out.stat().st_ino
+    assert _eval_csv(out, then) == _eval_csv(tmp_path / "fresh.csv", then)
+    assert out.stat().st_ino == inode and out.stat().st_mode & 0o777 == 0o640
+
+
+def test_symlink_destination_writes_its_target(tmp_path, capsys):
+    target = tmp_path / "target.csv"
+    _eval_csv(target, 2000)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert _eval_csv(link, 5) == _eval_csv(tmp_path / "fresh.csv", 5)
+    assert link.is_symlink() and target.read_bytes() == link.read_bytes()
+
+
+def test_non_regular_destination_is_only_written(capsys):
+    assert main(["eval", "--seq", "two-three", "--range", "0:5", "--csv", os.devnull]) == 0
+
+
+def test_unwritable_destination_is_one_usage_line(tmp_path, capsys):
+    missing = tmp_path / "nope" / "o.csv"
+    for dest in (tmp_path, missing):
+        assert main(["eval", "--seq", "two-three", "--range", "0:5", "--csv", str(dest)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: [Errno 21] Is a directory: '{tmp_path}'",
+        f"error: [Errno 2] No such file or directory: '{missing}'",
+    ]
+
+
+def test_verify_rewrites_results_with_only_the_new_lines(tmp_path, monkeypatch):
+    sc = next(sc for sc in acceptance.SUBCHECKS if sc.criterion == "7")
+    monkeypatch.setattr(acceptance, "run_criteria", lambda ids: [(sc, True, "ok", 0.0)])
+    monkeypatch.setattr(acceptance, "write_verify_outputs", lambda outdir: [])
+    results = tmp_path / "results.txt"
+    results.write_text("an older, longer run\n" * 1000, encoding="utf-8")
+    echoed = []
+    assert acceptance.run_verify(tmp_path, echo=echoed.append) == 0
+    assert results.read_text(encoding="utf-8").splitlines() == echoed[:-1]
+
+
+def test_failed_output_ends_where_writing_stopped(tmp_path):
+    def pieces():
+        yield "0,+1\n"
+        yield "1,+1\n"
+        raise RangeError("past the end")
+
+    out = tmp_path / "o.csv"
+    out.write_text("old\n" * 1000, encoding="utf-8")
+    with pytest.raises(RangeError):
+        cli._emit(pieces(), str(out), "meta")
+    assert out.read_bytes() == b"# meta\n0,+1\n1,+1\n"
+
+
+def test_outputs_are_opened_without_truncating(tmp_path, monkeypatch, capsys):
+    flags, real = [], os.open
+
+    def spy(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    _eval_csv(tmp_path / "o.csv", 5)
+    assert len(flags) == 1 and flags[0] & os.O_CREAT and not flags[0] & os.O_TRUNC
 
 
 def test_first_checkpoint_below_one_is_a_usage_error(capsys):

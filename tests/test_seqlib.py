@@ -514,7 +514,7 @@ def test_file_loader_matches_splitlines(tmp_path_factory, lines, trailing, block
     if not trailing:
         text = text[: -len(lines[-1][1])]
     assume(text)
-    path = tmp_path_factory.getbasetemp() / "hypothesis-labels.txt"
+    path = tmp_path_factory.mktemp("labels") / "labels.txt"  # a fresh file per example
     path.write_bytes(text.encode("utf-8"))
     _assert_loads_as_splitlines(path, block)
 
