@@ -68,51 +68,6 @@ _LEAVES = {"leading-prime": seq_leading_prime, "run-parity": seq_run_parity,
            "sqrt-parity": seq_sqrt_parity, "two-three": seq_two_three, "periodic": periodic}
 
 
-def _take_token(text: str, pos: int):
-    end = text.find(":", pos)
-    if end == -1:
-        end = len(text)
-    return text[pos:end], end
-
-
-def _expect_colon(text: str, pos: int) -> int:
-    if pos >= len(text) or text[pos] != ":":
-        raise ExprError("expected ':' and another argument", pos)
-    return pos + 1
-
-
-def _take_int(text: str, pos: int, what: str):
-    token, end = _take_token(text, pos)
-    if not token or not (token.isascii() and token.isdigit()):
-        raise ExprError(f"expected nonnegative integer for {what}, got {token!r}", pos)
-    return int(token), end
-
-
-def _parse_leaf(text: str, token: str, pos: int, end: int) -> tuple:
-    """The leaf step named by `token` at `pos`; it ends the expression."""
-    if token == "periodic":
-        end = _expect_colon(text, end)
-        if end == len(text):
-            raise ExprError("periodic needs a comma-separated value list", end)
-        values = []
-        for part in text[end:].split(","):
-            if not (part.isascii() and part.isdigit()):
-                raise ExprError(f"bad periodic value {part!r}", end)
-            values.append(int(part))
-            end += len(part) + 1
-        return ("periodic", tuple(values))
-    if token == "file":
-        end = _expect_colon(text, end)
-        if end == len(text):
-            raise ExprError("file needs a path", end)
-        return ("file", text[end:])
-    if token in _LEAVES:
-        if end != len(text):
-            raise ExprError("trailing characters after expression", end)
-        return (token,)
-    raise ExprError(f"unknown constructor {token!r}", pos)
-
-
 def parse_expr(text: str) -> tuple:
     """The steps of a sequence expression, outermost first; errors carry the byte offset.
 
@@ -124,28 +79,56 @@ def parse_expr(text: str) -> tuple:
             raise ExprError("whitespace is not allowed in expressions", i)
     if not text:
         raise ExprError("empty expression", 0)
-    steps = []
-    pos = 0
-    while True:
-        token, end = _take_token(text, pos)
+    # at[j] is the byte offset of tokens[j]; the entry after the last is one past the end
+    tokens = text.split(":")
+    at = list(itertools.accumulate((len(t) + 1 for t in tokens), initial=0))
+
+    def take_int(j: int, what: str) -> int:
+        if j == len(tokens):
+            raise ExprError("expected ':' and another argument", len(text))
+        if not (tokens[j].isascii() and tokens[j].isdigit()):
+            raise ExprError(f"expected nonnegative integer for {what}, got {tokens[j]!r}", at[j])
+        return int(tokens[j])
+
+    steps, j = [], 0
+    while (token := tokens[j]) in ("shift", "compress"):
         if token == "shift":
-            m, end = _take_int(text, _expect_colon(text, end), "shift amount")
-            steps.append(("shift", m))
-        elif token == "compress":
-            k_at = _expect_colon(text, end)
-            k, end = _take_int(text, k_at, "base")
-            if k < 2:
-                raise ExprError(f"base must be >= 2, got {k}", k_at)
-            alpha, end = _take_int(text, _expect_colon(text, end), "depth")
-            r_at = _expect_colon(text, end)
-            r, end = _take_int(text, r_at, "residue")
-            if alpha < 63 and r >= k**alpha:  # compress refuses alpha >= 63 before the power
-                raise ExprError(f"residue {r} >= {k}**{alpha}", r_at)
-            steps.append(("compress", k, alpha, r))
+            steps.append(("shift", take_int(j + 1, "shift amount")))
+            j += 2
         else:
-            steps.append(_parse_leaf(text, token, pos, end))
-            return tuple(steps)
-        pos = _expect_colon(text, end)
+            k = take_int(j + 1, "base")
+            if k < 2:
+                raise ExprError(f"base must be >= 2, got {k}", at[j + 1])
+            alpha, r = take_int(j + 2, "depth"), take_int(j + 3, "residue")
+            if alpha < 63 and r >= k**alpha:  # compress refuses alpha >= 63 before the power
+                raise ExprError(f"residue {r} >= {k}**{alpha}", at[j + 3])
+            steps.append(("compress", k, alpha, r))
+            j += 4
+        if j == len(tokens):
+            raise ExprError("expected ':' and another argument", len(text))
+    # the leaf ends the expression at `end`; periodic: and file: take the rest, ':' and all
+    rest, end = text[at[j + 1] :], at[j + 1] - 1
+    if token in ("periodic", "file"):
+        if end == len(text):
+            raise ExprError("expected ':' and another argument", end)
+        if token == "file":
+            if not rest:
+                raise ExprError("file needs a path", len(text))
+            return (*steps, ("file", rest))
+        if not rest:
+            raise ExprError("periodic needs a comma-separated value list", len(text))
+        values, part_at = [], end + 1
+        for part in rest.split(","):
+            if not (part.isascii() and part.isdigit()):
+                raise ExprError(f"bad periodic value {part!r}", part_at)
+            values.append(int(part))
+            part_at += len(part) + 1
+        return (*steps, ("periodic", tuple(values)))
+    if token not in _LEAVES:
+        raise ExprError(f"unknown constructor {token!r}", at[j])
+    if end != len(text):
+        raise ExprError("trailing characters after expression", end)
+    return (*steps, (token,))
 
 
 class SequenceBuilder:
@@ -244,10 +227,8 @@ def _cmd_eval(args) -> int:
         return ((a + lo, [f.alphabet[i] for i in block.tolist()])
                 for lo, block in density.value_blocks(f, b - a, a))
 
-    blocks = label_blocks()  # value_blocks refuses a range over the budget here
-    if b > a:
-        f.values(b - 1, 1)  # past coverage or 2**63: fail at once, naming b - 1
-    for lo, labels in blocks:
+    # value_blocks refuses a range over the budget, or past coverage naming b - 1, here
+    for lo, labels in label_blocks():
         sys.stdout.write(("," if lo > a else "") + ",".join(labels))
     sys.stdout.write("\n")
     if args.csv is not None:

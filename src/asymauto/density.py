@@ -7,8 +7,9 @@ estimate).  A profile plus a declared verdict policy is the strongest
 statement the package makes.  Every count at checkpoints, the kernel's
 pairwise matrix included, is summed by one serial scan, `prefix_counts`, chunk
 by chunk, so its working memory does not grow with N.  `value_blocks` checks a
-range against the package's one budget (`errors.check_budget`) when it is
-called, and the value tables and `eval` read their values through it.
+range against the package's one budget (`errors.check_budget`) and reads its
+last term when it is called, and the value tables and `eval` read their values
+through it.
 """
 
 from __future__ import annotations
@@ -93,11 +94,14 @@ def prefix_counts(count, cps: Checkpoints) -> tuple:
 def value_blocks(f: Sequence, n: int, start: int = 0):
     """f on [start, start + n) as (offset, uint8 block) pairs of at most _SCAN_CHUNK terms.
 
-    The range is refused over the budget when this is called, before any block.
-    Each block is evaluated when it is reached, so a leaf's working words
-    never outgrow one block.
+    The range is refused over the budget, and its last term read, when this is
+    called, before any block: past coverage or 2**63 it fails at once, naming
+    start + n - 1.  Each block is evaluated when it is reached, so a leaf's
+    working words never outgrow one block.
     """
     check_budget(n, "bytes", f"value table of {f.name} on [{start}, {start + n})")
+    if n:
+        f.values(start + n - 1, 1)
     return ((lo, f.values(start + lo, min(_SCAN_CHUNK, n - lo))) for lo in range(0, n, _SCAN_CHUNK))
 
 

@@ -156,6 +156,9 @@ def kernel_words(f: Sequence, k: int, depth: int, cps: Checkpoints) -> KernelWor
     check_budget(8 * d * d * len(cps), "bytes",
                  f"pairwise matrices of the {d} kernel elements at {len(cps)} checkpoints")
 
+    # the deepest element's last term is the largest leaf index any element reads:
+    # past coverage or 2**63 this fails before any element is packed
+    compress(f, k, depth, k**depth - 1).values(n_final - 1, 1)
     order = _element_order(k, depth)
     packed = np.zeros((d, planes, words), dtype="<u8")
     for i, (a, r) in enumerate(order):

@@ -2,13 +2,15 @@
 
 Everything here is deliberately naive: string scans, double loops over
 exponents, set-based marking, one Python integer at a time.  None of it
-shares code with the package.
+shares code with the package, beyond the error type the parser oracle raises.
 """
 
 import math
 import sys
 from bisect import bisect_right
 from fractions import Fraction
+
+from asymauto.errors import ExprError
 
 
 def leading_ones_by_string(n: int) -> int:
@@ -221,6 +223,93 @@ def labels_by_splitlines(path) -> tuple:
         )
     position = {lab: i for i, lab in enumerate(alphabet)}
     return alphabet, [position[lab] for lab in labels]
+
+
+# The sequence expression parser as a cursor over the text, kept as the reference
+# `cli.parse_expr` is checked against: the same steps, or an ExprError with the
+# same message and byte offset.  It raises the package's ExprError so the two
+# can be compared field by field.
+_LEAF_NAMES = {"leading-prime", "run-parity", "sqrt-parity", "two-three", "periodic"}
+
+
+def _take_token(text: str, pos: int):
+    end = text.find(":", pos)
+    if end == -1:
+        end = len(text)
+    return text[pos:end], end
+
+
+def _expect_colon(text: str, pos: int) -> int:
+    if pos >= len(text) or text[pos] != ":":
+        raise ExprError("expected ':' and another argument", pos)
+    return pos + 1
+
+
+def _take_int(text: str, pos: int, what: str):
+    token, end = _take_token(text, pos)
+    if not token or not (token.isascii() and token.isdigit()):
+        raise ExprError(f"expected nonnegative integer for {what}, got {token!r}", pos)
+    return int(token), end
+
+
+def _parse_leaf(text: str, token: str, pos: int, end: int) -> tuple:
+    """The leaf step named by `token` at `pos`; it ends the expression."""
+    if token == "periodic":
+        end = _expect_colon(text, end)
+        if end == len(text):
+            raise ExprError("periodic needs a comma-separated value list", end)
+        values = []
+        for part in text[end:].split(","):
+            if not (part.isascii() and part.isdigit()):
+                raise ExprError(f"bad periodic value {part!r}", end)
+            values.append(int(part))
+            end += len(part) + 1
+        return ("periodic", tuple(values))
+    if token == "file":
+        end = _expect_colon(text, end)
+        if end == len(text):
+            raise ExprError("file needs a path", end)
+        return ("file", text[end:])
+    if token in _LEAF_NAMES:
+        if end != len(text):
+            raise ExprError("trailing characters after expression", end)
+        return (token,)
+    raise ExprError(f"unknown constructor {token!r}", pos)
+
+
+def parse_expr_by_cursor(text: str) -> tuple:
+    """The steps of a sequence expression, outermost first; errors carry the byte offset.
+
+    Steps are ("shift", m) and ("compress", k, alpha, r); the last is the leaf,
+    (name,), ("periodic", values) or ("file", path).
+    """
+    for i, ch in enumerate(text):
+        if ch.isspace():
+            raise ExprError("whitespace is not allowed in expressions", i)
+    if not text:
+        raise ExprError("empty expression", 0)
+    steps = []
+    pos = 0
+    while True:
+        token, end = _take_token(text, pos)
+        if token == "shift":
+            m, end = _take_int(text, _expect_colon(text, end), "shift amount")
+            steps.append(("shift", m))
+        elif token == "compress":
+            k_at = _expect_colon(text, end)
+            k, end = _take_int(text, k_at, "base")
+            if k < 2:
+                raise ExprError(f"base must be >= 2, got {k}", k_at)
+            alpha, end = _take_int(text, _expect_colon(text, end), "depth")
+            r_at = _expect_colon(text, end)
+            r, end = _take_int(text, r_at, "residue")
+            if alpha < 63 and r >= k**alpha:  # compress refuses alpha >= 63 before the power
+                raise ExprError(f"residue {r} >= {k}**{alpha}", r_at)
+            steps.append(("compress", k, alpha, r))
+        else:
+            steps.append(_parse_leaf(text, token, pos, end))
+            return tuple(steps)
+        pos = _expect_colon(text, end)
 
 
 # Linux carries a process's peak RSS across fork and exec, so a child of the test

@@ -10,15 +10,15 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import asymauto
-from asymauto import acceptance, cli, cobham, density, errors, seqlib, smooth
+from asymauto import acceptance, cli, cobham, density, errors, kernel, seqlib, smooth
 from asymauto.acceptance import VERIFY_COMMANDS, write_verify_outputs
 from asymauto.cli import build_sequence, main, parse_expr
 from asymauto.errors import ExprError, RangeError
 from asymauto.seqlib import Sequence
-from helpers import peak_rss_bytes, python_with_peak_rss
+from helpers import parse_expr_by_cursor, peak_rss_bytes, python_with_peak_rss
 
 
 def test_parse_examples():
@@ -56,6 +56,43 @@ def test_parse_error_offsets():
             parse_expr(text)
         assert str(e.value) == f"{message} (at offset {offset})", text
         assert e.value.offset == offset, text
+
+
+_NAMES = ["shift", "compress", "periodic", "file", "leading-prime", "run-parity",
+          "sqrt-parity", "two-three", "bogus", ""]
+_INTS = ["0", "1", "2", "3", "07", "12345678901234567890", "\u0661"]  # U+0661: Arabic-Indic one
+_LISTS = ["0,1", "1,,2", ",", "0,", ",1", " ", "0, 1", "\u00e9", "1,\u00e9", "2,\u0661"]
+_TOKEN = st.sampled_from(_NAMES + _INTS + _LISTS)
+# pieces beside single tokens: a step with integer arguments, so a chain gets into the
+# checks of its steps and its leaf, and a leaf that takes the rest, with or without one
+_REST_LEAF = st.sampled_from(["periodic", "file"])
+_PIECES = st.one_of(
+    _TOKEN.map(lambda t: (t,)),
+    st.tuples(st.just("shift"), st.sampled_from(_INTS)),
+    st.tuples(st.just("compress"), *[st.sampled_from(_INTS)] * 3),
+    st.tuples(_REST_LEAF),
+    st.tuples(_REST_LEAF, st.sampled_from(["", *_LISTS])),
+)
+# pieces joined by ':', perhaps with a trailing ':' or ','
+_CHAINS = st.builds(
+    lambda pieces, tail: ":".join(t for p in pieces for t in p) + tail,
+    st.lists(_PIECES, max_size=5),
+    st.sampled_from(["", ":", ","]),
+)
+
+
+def _parse_outcome(parse, text):
+    """parse's steps for text, or the (message, offset) of its ExprError."""
+    try:
+        return parse(text)
+    except ExprError as exc:
+        return str(exc), exc.offset
+
+
+@settings(max_examples=300)
+@given(_CHAINS)
+def test_parse_matches_the_cursor_parser(text):
+    assert _parse_outcome(parse_expr, text) == _parse_outcome(parse_expr_by_cursor, text)
 
 
 def _digits(low: int, high: int):
@@ -255,6 +292,38 @@ def test_discrepancy_past_coverage_fails_before_scanning(capsys, monkeypatch, tm
     err = capsys.readouterr().err
     assert "index 5999 reaches leaf index 5999, beyond coverage [0, 5000]" in err
     assert err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def short_table(tmp_path_factory):
+    """A 300,000-line label file: indices 0..299999, well short of 2**20."""
+    path = tmp_path_factory.mktemp("short") / "labels.txt"
+    path.write_text("0\n1\n" * 150_000, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("argv, leaf_index", [
+    # the deepest element (2, 3) reads leaf index 4 * 2**20 - 1, and (4, 15) in base 2
+    # at the default depth 4 reads 16 * 2**20 - 1: refused before any element is packed
+    (["kernel", "--base", "2", "--depth", "2", "--nmax", "1048576"], 4 * 2**20 - 1),
+    (["report", "--k", "2", "--l", "3", "--nmax", "1048576"], 16 * 2**20 - 1),
+    # the table read by the fits refuses at its last term, before any residue is counted
+    (["periodic-fit", "--qmax", "4", "--n", "1048576"], 2**20 - 1),
+])
+def test_table_reads_past_coverage_fail_before_they_start(capsys, monkeypatch, short_table,
+                                                          argv, leaf_index):
+    # one line naming N - 1, not the end of whichever chunk a scan had reached
+    def refuse(*args):
+        raise AssertionError("started before the coverage check")
+
+    monkeypatch.setattr(kernel, "_pack_planes", refuse)
+    monkeypatch.setattr(cobham, "_residue_counts", refuse)
+    assert main([argv[0], "--seq", f"file:{short_table}", *argv[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("range error: ") and captured.err.count("\n") == 1
+    assert (f"index {2**20 - 1} reaches leaf index {leaf_index}, beyond coverage [0, 299999]"
+            in captured.err)
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("f, g, nmax, index", [

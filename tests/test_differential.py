@@ -9,6 +9,7 @@ labels, and the periodic fits and kernel quotients are rebuilt from them by the
 where two-three and sqrt-parity change value.
 """
 
+import contextlib
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -256,3 +257,77 @@ def test_large_strides_take_the_per_term_engines(label_file, data, step, leaf):
         # a block of c > 1 terms crosses more than c squares: the two end roots
         # and the root of each term (a one-term block takes the end roots only)
         assert len(roots) == sum(2 + (c if c > 1 else 0) for c in blocks)
+
+
+@contextlib.contextmanager
+def _spy_engines(f, calls):
+    """Wrap f's leaf and the engines: each leaf block records (first, step, count, engine calls)."""
+    leaf, max_run = f._leaf, seqlib._max_run_u64
+    engines = []
+
+    def spy_leaf(first, step, count):
+        engines.clear()
+        out = leaf(first, step, count)
+        calls.append((first, step, count, list(engines)))
+        return out
+
+    def spy_max_run(x):
+        engines.append(x.tolist())
+        return max_run(x)
+
+    def spy_isqrt(n):
+        engines.append(n)
+        return math.isqrt(n)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(f, "_leaf", spy_leaf)
+        m.setattr(seqlib, "_max_run_u64", spy_max_run)
+        m.setattr(seqlib, "math", SimpleNamespace(isqrt=spy_isqrt))
+        yield
+
+
+def _assert_rule_engine(leaf, first, step, count, engines):
+    """The block took the engine its leaf's documented rule names, on the inputs it names."""
+    top = first + step * (count - 1)
+    terms = list(range(first, top + 1, step))
+    if leaf == "run-parity":
+        # the h-split path exactly when the block crosses fewer values of n >> 16
+        # than it has terms; the word loop then sees only those h values
+        h0, h1 = first >> 16, top >> 16
+        assert engines == [list(range(h0, h1 + 1)) if h1 - h0 < count else terms]
+    else:
+        # the runs path, on the two end roots alone, exactly when the block crosses
+        # at most as many squares as it has terms; else the root of each term too
+        runs = math.isqrt(top) - math.isqrt(first) <= count
+        assert engines == [first, top] + ([] if runs else terms)
+
+
+@settings(max_examples=60)
+@given(st.data(), CHAINS, st.sampled_from(["run-parity", "sqrt-parity"]))
+def test_each_block_takes_the_engine_its_rule_names(label_file, data, steps, leaf):
+    f = Chain(steps, leaf, label_file)
+    cps = data.draw(schedules(MAX_N), label="checkpoints")
+    calls = []
+    with _spy_engines(f.seq, calls):
+        counts = density_estimate(f.seq, cps).counts
+    assert counts == cumulative([label == "1" for label in f.labels(cps.final)], cps)
+    assert calls
+    for first, step, count, engines in calls:
+        _assert_rule_engine(leaf, first, step, count, engines)
+
+
+@pytest.mark.parametrize("leaf, first, step, count", [
+    # h1 - h0 = count - 1 takes the h-split path, h1 - h0 = count the word loop
+    ("run-parity", 65535, 65536, 2),
+    ("run-parity", 65535, 65537, 2),
+    # isqrt(top) - isqrt(first) = count takes the runs path, count + 1 each root
+    ("sqrt-parity", 0, 4, 2),
+    ("sqrt-parity", 0, 9, 2),
+])
+def test_engine_rules_at_their_boundaries(leaf, first, step, count):
+    f = {"run-parity": seqlib.seq_run_parity, "sqrt-parity": seqlib.seq_sqrt_parity}[leaf]()
+    calls = []
+    with _spy_engines(f, calls):
+        f._leaf(first, step, count)
+    ((*block, engines),) = calls
+    _assert_rule_engine(leaf, *block, engines)
